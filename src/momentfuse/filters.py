@@ -1,4 +1,4 @@
-"""3x3 convolution engine and the high-boost preprocessing mask.
+"""3x3 masks, their application, and the high-boost preprocessing mask.
 
 The default preprocessing mask is center-weighted with eight -1 neighbors and
 a 1/9 scale factor. With the default center weight of 17.9 the mask has a DC
@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image import pad, widen
+from .image import correlate, widen
 from .validation import check_image_float
 
 DEFAULT_CENTER_WEIGHT = 17.9
@@ -50,7 +50,7 @@ def identity_kernel() -> Kernel3:
     return Kernel3(coeffs, scale=1.0)
 
 
-def convolve3(img: np.ndarray, kernel: Kernel3, border: str = "replicate") -> np.ndarray:
+def convolve3(img: np.ndarray, kernel: Kernel3) -> np.ndarray:
     """Apply a 3x3 mask to a float raster under replicate padding.
 
     out(r, c) = scale * sum_{dr,dc in {-1,0,1}} coeffs(dr, dc) * padded(r+dr, c+dc)
@@ -58,16 +58,7 @@ def convolve3(img: np.ndarray, kernel: Kernel3, border: str = "replicate") -> np
     The mask is applied as written (correlation); output has the input's
     shape and is not clamped, so samples may be negative or exceed 255.
     """
-    arr = check_image_float(img)
-    h, w = arr.shape
-    padded = pad(arr, 1, border)
-    acc = np.zeros((h, w), dtype=np.float64)
-    for dr in range(3):
-        for dc in range(3):
-            coeff = kernel.coeffs[dr, dc]
-            if coeff != 0.0:
-                acc += coeff * padded[dr:dr + h, dc:dc + w]
-    return kernel.scale * acc
+    return kernel.scale * correlate(check_image_float(img), kernel.coeffs)
 
 
 def preprocess(img: np.ndarray, center: float = DEFAULT_CENTER_WEIGHT) -> np.ndarray:
@@ -76,4 +67,6 @@ def preprocess(img: np.ndarray, center: float = DEFAULT_CENTER_WEIGHT) -> np.nda
     The result is the unclamped filtered raster every downstream saliency
     computation works on.
     """
-    return convolve3(widen(img), high_boost_mask(center))
+    # A widened uint8 raster is finite, so the mask skips convolve3's scan.
+    mask = high_boost_mask(center)
+    return mask.scale * correlate(widen(img), mask.coeffs)

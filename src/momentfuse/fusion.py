@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .filters import DEFAULT_CENTER_WEIGHT, preprocess
-from .image import pad, quantize, widen
+from .image import correlate, quantize, widen
 from .validation import (
     check_image_float,
     check_image_u8,
@@ -47,7 +47,7 @@ class FusionResult:
 
 
 def local_moment_map(img: np.ndarray, p: int = 1, q: int = 1, window: int = 3,
-                     magnitude: bool = True, border: str = "replicate") -> np.ndarray:
+                     magnitude: bool = True) -> np.ndarray:
     """Local geometric moment of a float raster at every pixel.
 
     For each pixel, the surrounding `window` x `window` neighborhood (over the
@@ -65,16 +65,8 @@ def local_moment_map(img: np.ndarray, p: int = 1, q: int = 1, window: int = 3,
         raise ValueError(f"moment orders must be in [0, {MAX_MOMENT_ORDER}], got p={p}, q={q}")
 
     values = np.abs(arr) if magnitude else arr
-    h, w = values.shape
-    margin = window // 2
-    padded = pad(values, margin, border)
-    row_w = np.arange(1, window + 1, dtype=np.float64) ** p
-    col_w = np.arange(1, window + 1, dtype=np.float64) ** q
-    acc = np.zeros((h, w), dtype=np.float64)
-    for dr in range(window):
-        for dc in range(window):
-            acc += (row_w[dr] * col_w[dc]) * padded[dr:dr + h, dc:dc + w]
-    return acc
+    index = np.arange(1, window + 1, dtype=np.float64)
+    return correlate(values, np.outer(index ** p, index ** q))
 
 
 def decision_map(moments_a: np.ndarray, moments_b: np.ndarray) -> np.ndarray:

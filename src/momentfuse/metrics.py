@@ -11,16 +11,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filters import Kernel3, convolve3
-from .image import widen
+from .image import correlate, widen
 from .validation import check_image_u8, check_same_shape
 
-SOBEL_X = Kernel3(np.array([[-1.0, 0.0, 1.0],
-                            [-2.0, 0.0, 2.0],
-                            [-1.0, 0.0, 1.0]]))
-SOBEL_Y = Kernel3(np.array([[-1.0, -2.0, -1.0],
-                            [0.0, 0.0, 0.0],
-                            [1.0, 2.0, 1.0]]))
+SOBEL_X = np.array([[-1.0, 0.0, 1.0],
+                    [-2.0, 0.0, 2.0],
+                    [-1.0, 0.0, 1.0]])
+SOBEL_Y = np.array([[-1.0, -2.0, -1.0],
+                    [0.0, 0.0, 0.0],
+                    [1.0, 2.0, 1.0]])
 
 
 def histogram256(img: np.ndarray) -> np.ndarray:
@@ -86,9 +85,10 @@ def sobel_edges(img: np.ndarray) -> EdgeMap:
     Orientation is arctan(sy / sx) in (-pi/2, pi/2], with pi/2 wherever the
     horizontal derivative vanishes (including gradient-free pixels).
     """
+    # A widened uint8 raster is finite, so no isfinite scan is needed here.
     arr = widen(img)
-    sx = convolve3(arr, SOBEL_X)
-    sy = convolve3(arr, SOBEL_Y)
+    sx = correlate(arr, SOBEL_X)
+    sy = correlate(arr, SOBEL_Y)
     strength = np.hypot(sx, sy)
     orientation = np.full(arr.shape, math.pi / 2)
     nonzero = sx != 0.0

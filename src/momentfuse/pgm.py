@@ -10,6 +10,9 @@ import numpy as np
 from .validation import check_image_u8
 
 
+_WHITESPACE = b" \t\r\n\x0b\x0c"
+
+
 class PgmError(ValueError):
     """Raised for any malformed or unsupported PGM stream."""
 
@@ -21,14 +24,14 @@ def _tokens(data: bytes):
     n = len(data)
     while i < n:
         c = data[i:i + 1]
-        if c in b" \t\r\n\x0b\x0c":
+        if c in _WHITESPACE:
             i += 1
         elif c == b"#":
             j = data.find(b"\n", i)
             i = n if j < 0 else j + 1
         else:
             j = i
-            while j < n and data[j:j + 1] not in b" \t\r\n\x0b\x0c#":
+            while j < n and data[j:j + 1] not in _WHITESPACE + b"#":
                 j += 1
             yield data[i:j], j
             i = j
@@ -38,7 +41,8 @@ def load_pgm(data: bytes) -> np.ndarray:
     """Decode a P2 or P5 PGM byte stream into a uint8 (height, width) array.
 
     Raises PgmError with a distinct message for: unsupported magic number,
-    zero dimensions, maxval out of range, and truncated sample data.
+    zero dimensions, maxval out of range, a P5 maxval not followed by one
+    whitespace byte, samples above maxval, and truncated sample data.
     """
     toks = _tokens(data)
 
@@ -69,12 +73,17 @@ def load_pgm(data: bytes) -> np.ndarray:
     count = width * height
     if magic == b"P5":
         # Exactly one whitespace byte separates the maxval from the raster.
+        separator = data[header_end:header_end + 1]
+        if len(separator) != 1 or separator not in _WHITESPACE:
+            raise PgmError(f"maxval must be followed by one whitespace byte, got {separator!r}")
         raster = data[header_end + 1:header_end + 1 + count]
         if len(raster) < count:
             raise PgmError(
                 f"truncated sample data: expected {count} bytes, got {len(raster)}"
             )
         samples = np.frombuffer(raster, dtype=np.uint8, count=count)
+        if samples.max() > maxval:
+            raise PgmError(f"sample {samples.max()} out of range [0, {maxval}]")
     else:
         values = []
         for tok, _ in toks:
@@ -84,8 +93,8 @@ def load_pgm(data: bytes) -> np.ndarray:
                 v = int(tok)
             except ValueError:
                 raise PgmError(f"invalid ASCII sample {tok!r}") from None
-            if v < 0 or v > 255:
-                raise PgmError(f"ASCII sample {v} out of range [0, 255]")
+            if v < 0 or v > maxval:
+                raise PgmError(f"ASCII sample {v} out of range [0, {maxval}]")
             values.append(v)
         if len(values) < count:
             raise PgmError(

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image import quantize, widen
+from .image import correlate, quantize, widen
 from .validation import check_image_u8
 
 
@@ -23,20 +23,6 @@ def _gaussian_kernel1d(sigma: float) -> np.ndarray:
     return kernel / kernel.sum()
 
 
-def _convolve_axis(arr: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
-    radius = len(kernel) // 2
-    pad_width = ((radius, radius), (0, 0)) if axis == 0 else ((0, 0), (radius, radius))
-    padded = np.pad(arr, pad_width, mode="edge")
-    h, w = arr.shape
-    out = np.zeros_like(arr)
-    for i, coeff in enumerate(kernel):
-        if axis == 0:
-            out += coeff * padded[i:i + h, :]
-        else:
-            out += coeff * padded[:, i:i + w]
-    return out
-
-
 def gaussian_blur_float(arr: np.ndarray, sigma: float) -> np.ndarray:
     """Separable Gaussian blur of a float raster with replicate borders.
 
@@ -45,7 +31,8 @@ def gaussian_blur_float(arr: np.ndarray, sigma: float) -> np.ndarray:
     if sigma <= 0.0:
         return np.array(arr, copy=True, dtype=np.float64)
     kernel = _gaussian_kernel1d(sigma)
-    return _convolve_axis(_convolve_axis(np.asarray(arr, dtype=np.float64), kernel, 0), kernel, 1)
+    rows = correlate(np.asarray(arr, dtype=np.float64), kernel[:, None])
+    return correlate(rows, kernel[None, :])
 
 
 def gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:

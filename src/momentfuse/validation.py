@@ -53,9 +53,3 @@ def check_same_shape(a: np.ndarray, b: np.ndarray,
             f"{name_a} {a.shape} and {name_b} {b.shape} must have identical dimensions"
         )
 
-
-def check_border_mode(mode: str) -> str:
-    """Validate a border handling mode. Only 'replicate' is supported."""
-    if mode != "replicate":
-        raise ValueError(f"unsupported border mode {mode!r}; expected 'replicate'")
-    return mode

@@ -1,0 +1,59 @@
+"""Property tests of the shared stencil primitive against an index-clamping
+oracle.
+
+Rasters and weights hold small integers, so every partial sum is an exact
+float64 integer and the comparison can be exact in any summation order.
+"""
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from momentfuse.image import correlate
+
+
+def naive_correlate(img, weights):
+    """Independent reference: per pixel, loop the weight cells and clamp
+    reads to the raster (replicate border)."""
+    h, w = img.shape
+    kh, kw = weights.shape
+    out = np.zeros((h, w))
+    for r in range(h):
+        for c in range(w):
+            acc = 0.0
+            for i in range(kh):
+                for j in range(kw):
+                    rr = min(max(r + i - kh // 2, 0), h - 1)
+                    cc = min(max(c + j - kw // 2, 0), w - 1)
+                    acc += weights[i, j] * img[rr, cc]
+            out[r, c] = acc
+    return out
+
+
+rasters = st.tuples(st.integers(1, 9), st.integers(1, 9)).flatmap(
+    lambda shape: arrays(np.float64, shape, elements=st.integers(-255, 255).map(float)))
+odd_sides = st.sampled_from([1, 3, 5])
+weight_arrays = st.tuples(odd_sides, odd_sides).flatmap(
+    lambda shape: arrays(np.float64, shape, elements=st.integers(-9, 9).map(float)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(img=rasters, weights=weight_arrays)
+@example(img=np.array([[7.0]]), weights=np.ones((5, 3)))
+def test_matches_clamping_oracle(img, weights):
+    # Weight shapes include k x 1, 1 x k and kernels larger than the raster.
+    out = correlate(img, weights)
+    assert out.shape == img.shape
+    assert np.array_equal(out, naive_correlate(img, weights))
+
+
+@settings(max_examples=100, deadline=None)
+@given(img=rasters, data=st.data())
+def test_column_then_row_pass_equals_outer_product_kernel(img, data):
+    # The separable blur runs as two 1-D passes; with small-integer samples
+    # the composition is exact in any summation order.
+    side = data.draw(odd_sides)
+    taps = data.draw(arrays(np.float64, side, elements=st.integers(-9, 9).map(float)))
+    assert np.array_equal(correlate(correlate(img, taps[:, None]), taps[None, :]),
+                          correlate(img, np.outer(taps, taps)))

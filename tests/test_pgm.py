@@ -36,6 +36,19 @@ def test_maxval_below_255_used_as_is():
     assert img.tolist() == [[0, 100]]
 
 
+def test_reject_samples_above_maxval():
+    with pytest.raises(PgmError, match="range"):
+        load_pgm(b"P5\n2 1\n100\n" + bytes([200, 1]))
+    with pytest.raises(PgmError, match="range"):
+        load_pgm(b"P2\n2 1\n100\n200 1\n")
+
+
+def test_reject_p5_maxval_without_single_whitespace():
+    # The comment bytes must not be decoded as the raster.
+    with pytest.raises(PgmError, match="whitespace"):
+        load_pgm(b"P5\n2 1\n255#c\n\x01\x02")
+
+
 def test_reject_p6_magic():
     with pytest.raises(PgmError, match="magic"):
         load_pgm(b"P6\n1 1\n255\n" + bytes([1, 2, 3]))
