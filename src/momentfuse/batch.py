@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .fusion import FUSION_METHODS, FusionResult, make_fuser
-from .metrics import MetricsRecord, QabfConstants, evaluate
+from .metrics import MetricsRecord, QabfConstants, _shared_source_terms, evaluate
 from .pgm import PgmError, read_pgm
 from .validation import ShapeMismatchError, check_same_shape
 
@@ -120,13 +120,16 @@ def run_pair(a: np.ndarray, b: np.ndarray, methods=FUSION_METHODS,
 
     Methods run in sorted order; unknown method names raise ValueError.
     Extra keyword arguments are forwarded to the fusers that accept them.
+    The sources' Sobel maps and edge weights are computed once and shared by
+    every method's evaluation.
     """
     outcomes = []
-    for method in sorted(set(methods)):
-        fuser = make_fuser(method, **fuser_params)
-        result = fuser.fuse(a, b)
-        record = evaluate(a, b, result.fused_u8, constants)
-        outcomes.append(PairOutcome(method=method, result=result, record=record))
+    with _shared_source_terms():
+        for method in sorted(set(methods)):
+            fuser = make_fuser(method, **fuser_params)
+            result = fuser.fuse(a, b)
+            record = evaluate(a, b, result.fused_u8, constants)
+            outcomes.append(PairOutcome(method=method, result=result, record=record))
     return outcomes
 
 

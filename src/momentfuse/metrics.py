@@ -6,6 +6,8 @@ base-2 logarithms, so entropies and mutual information are in bits with an
 8-bit ceiling. Float rasters must be quantized before being evaluated.
 """
 
+import contextlib
+import contextvars
 import math
 from dataclasses import dataclass
 
@@ -14,12 +16,10 @@ import numpy as np
 from .image import correlate, widen
 from .validation import check_image_u8, check_same_shape
 
-SOBEL_X = np.array([[-1.0, 0.0, 1.0],
-                    [-2.0, 0.0, 2.0],
-                    [-1.0, 0.0, 1.0]])
-SOBEL_Y = np.array([[-1.0, -2.0, -1.0],
-                    [0.0, 0.0, 0.0],
-                    [1.0, 2.0, 1.0]])
+# The 3x3 Sobel x kernel is the [1, 2, 1] smoothing column times the
+# [-1, 0, 1] difference row; the y kernel is its transpose.
+SOBEL_SMOOTH = np.array([[1.0], [2.0], [1.0]])
+SOBEL_DIFF = np.array([[-1.0, 0.0, 1.0]])
 
 
 def histogram256(img: np.ndarray) -> np.ndarray:
@@ -86,13 +86,16 @@ def sobel_edges(img: np.ndarray) -> EdgeMap:
     horizontal derivative vanishes (including gradient-free pixels).
     """
     # A widened uint8 raster is finite, so no isfinite scan is needed here.
+    # Its samples are integers, so every partial sum of the separable passes
+    # is an exact float64 integer and equals the full 3x3 stencil bit for bit.
     arr = widen(img)
-    sx = correlate(arr, SOBEL_X)
-    sy = correlate(arr, SOBEL_Y)
+    sx = correlate(correlate(arr, SOBEL_SMOOTH), SOBEL_DIFF)
+    sy = correlate(correlate(arr, SOBEL_SMOOTH.T), SOBEL_DIFF.T)
     strength = np.hypot(sx, sy)
-    orientation = np.full(arr.shape, math.pi / 2)
     nonzero = sx != 0.0
-    orientation[nonzero] = np.arctan(sy[nonzero] / sx[nonzero])
+    orientation = np.divide(sy, sx, out=np.zeros(arr.shape), where=nonzero)
+    np.arctan(orientation, out=orientation)
+    np.copyto(orientation, math.pi / 2, where=~nonzero)
     return EdgeMap(strength=strength, orientation=orientation)
 
 
@@ -139,6 +142,41 @@ def _preservation(src: EdgeMap, fused: EdgeMap, k: QabfConstants) -> np.ndarray:
     return np.where(gs > 0.0, qg * qa, 0.0)
 
 
+# Source terms of the pair being scored: {(id(a), id(b), exponent): (a, b, terms)}.
+# Set only inside `_shared_source_terms`; the entry keeps a and b alive, so
+# their ids cannot be reused by other arrays while it exists.
+_SOURCE_TERMS: contextvars.ContextVar = contextvars.ContextVar("source_terms", default=None)
+
+
+@contextlib.contextmanager
+def _shared_source_terms():
+    """Within the block, `qabf` computes the terms of each source pair once
+    and reuses them for every fused raster scored against that pair."""
+    token = _SOURCE_TERMS.set({})
+    try:
+        yield
+    finally:
+        _SOURCE_TERMS.reset(token)
+
+
+def _source_terms(a: np.ndarray, b: np.ndarray, weight_exponent: float) -> tuple:
+    """(edges_a, edges_b, weight_a, weight_b, total) of two validated sources:
+    their Sobel maps, their edge weights and the sum of both weights."""
+    shared = _SOURCE_TERMS.get()
+    key = (id(a), id(b), weight_exponent)
+    if shared is not None and key in shared:
+        return shared[key][2]
+    edges_a = sobel_edges(a)
+    edges_b = sobel_edges(b)
+    weight_a = edges_a.strength ** weight_exponent
+    weight_b = edges_b.strength ** weight_exponent
+    terms = (edges_a, edges_b, weight_a, weight_b,
+             float(np.sum(weight_a) + np.sum(weight_b)))
+    if shared is not None:
+        shared[key] = (a, b, terms)
+    return terms
+
+
 def qabf(a: np.ndarray, b: np.ndarray, f: np.ndarray,
          constants: QabfConstants | None = None) -> tuple[float, bool]:
     """Edge information preservation of a fused raster, in [0, 1].
@@ -156,14 +194,10 @@ def qabf(a: np.ndarray, b: np.ndarray, f: np.ndarray,
     check_same_shape(a, f, "first source", "fused image")
     check_same_shape(b, f, "second source", "fused image")
 
-    edges_a = sobel_edges(a)
-    edges_b = sobel_edges(b)
-    edges_f = sobel_edges(f)
-    weight_a = edges_a.strength ** k.weight_exponent
-    weight_b = edges_b.strength ** k.weight_exponent
-    total = float(np.sum(weight_a) + np.sum(weight_b))
+    edges_a, edges_b, weight_a, weight_b, total = _source_terms(a, b, k.weight_exponent)
     if total == 0.0:
         return 0.0, True
+    edges_f = sobel_edges(f)
     score = float(np.sum(_preservation(edges_a, edges_f, k) * weight_a
                          + _preservation(edges_b, edges_f, k) * weight_b) / total)
     return score, False

@@ -42,7 +42,8 @@ def load_pgm(data: bytes) -> np.ndarray:
 
     Raises PgmError with a distinct message for: unsupported magic number,
     zero dimensions, maxval out of range, a P5 maxval not followed by one
-    whitespace byte, samples above maxval, and truncated sample data.
+    whitespace byte, samples above maxval, truncated sample data, and bytes
+    left over after a P5 raster.
     """
     toks = _tokens(data)
 
@@ -76,12 +77,18 @@ def load_pgm(data: bytes) -> np.ndarray:
         separator = data[header_end:header_end + 1]
         if len(separator) != 1 or separator not in _WHITESPACE:
             raise PgmError(f"maxval must be followed by one whitespace byte, got {separator!r}")
-        raster = data[header_end + 1:header_end + 1 + count]
+        raster = data[header_end + 1:]
         if len(raster) < count:
             raise PgmError(
                 f"truncated sample data: expected {count} bytes, got {len(raster)}"
             )
-        samples = np.frombuffer(raster, dtype=np.uint8, count=count)
+        # A CRLF after the maxval leaves its LF here as one byte too many;
+        # decoding it would shift the whole raster by one sample.
+        if len(raster) > count:
+            raise PgmError(
+                f"trailing data: expected {count} raster bytes, got {len(raster)}"
+            )
+        samples = np.frombuffer(raster, dtype=np.uint8)
         if samples.max() > maxval:
             raise PgmError(f"sample {samples.max()} out of range [0, {maxval}]")
     else:

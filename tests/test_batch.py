@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from momentfuse import metrics
 from momentfuse.batch import (
     EmptyBatchError,
     PairSpec,
@@ -16,7 +17,7 @@ from momentfuse.batch import (
 )
 from momentfuse.filters import preprocess
 from momentfuse.image import quantize
-from momentfuse.metrics import mutual_information
+from momentfuse.metrics import QabfConstants, evaluate, mutual_information
 from momentfuse.pgm import write_pgm
 from momentfuse.synthetic import random_texture, synthesize_pairs
 
@@ -82,6 +83,67 @@ def test_run_pair_unknown_method():
     img = np.zeros((4, 4), dtype=np.uint8)
     with pytest.raises(ValueError, match="unknown fusion method"):
         run_pair(img, img, methods=("wavelet",))
+
+
+def _source_pair(case):
+    _, pair = synthesize_pairs(1, sigma=2.0, seed=5, height=24, width=29)[0]
+    if case == "same object":
+        return pair.a, pair.a
+    if case == "int64":
+        # Validation copies these into new uint8 arrays on every call.
+        return pair.a.astype(np.int64), pair.b.astype(np.int64)
+    return pair.a, pair.b
+
+
+@pytest.mark.parametrize("case, constants", [
+    ("default", None),
+    ("default", QabfConstants(weight_exponent=2.0)),
+    ("same object", None),
+    ("int64", None),
+])
+def test_run_pair_records_equal_standalone_evaluate(case, constants):
+    a, b = _source_pair(case)
+    outcomes = run_pair(a, b, constants=constants)
+    assert [o.method for o in outcomes] == ["average", "moment", "pca"]
+    for outcome in outcomes:
+        standalone = evaluate(a, b, outcome.result.fused_u8, constants)
+        assert repr(outcome.record) == repr(standalone)
+    assert metrics._SOURCE_TERMS.get() is None
+
+
+@pytest.fixture
+def sobel_calls(monkeypatch):
+    """Shapes of the rasters passed to `metrics.sobel_edges`, in call order."""
+    calls = []
+    sobel_edges = metrics.sobel_edges
+
+    def counting(img):
+        calls.append(img.shape)
+        return sobel_edges(img)
+
+    monkeypatch.setattr(metrics, "sobel_edges", counting)
+    return calls
+
+
+def test_source_term_scope_unset_after_failure_mid_loop(sobel_calls):
+    a, b = _source_pair("default")
+    with pytest.raises(ValueError, match="source"):
+        run_pair(a, b, source="bad")
+    # "average" was scored (both sources and its fused raster) before the
+    # moment fuser rejected the source.
+    assert len(sobel_calls) == 3
+    assert metrics._SOURCE_TERMS.get() is None
+
+
+def test_run_pair_computes_source_sobel_maps_once(sobel_calls):
+    a, b = _source_pair("default")
+    outcomes = run_pair(a, b)
+    # Two sources once, plus one fused raster per method (was 3 per method).
+    assert len(outcomes) == 3
+    assert len(sobel_calls) == 5
+    sobel_calls.clear()
+    evaluate(a, b, outcomes[0].result.fused_u8)
+    assert len(sobel_calls) == 3
 
 
 def test_run_batch_skips_bad_pairs(tmp_path):

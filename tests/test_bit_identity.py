@@ -1,10 +1,10 @@
-"""Bit-identity guard: SHA-256 digests of every stencil output on one fixed
-non-square synthetic pair.
+"""Bit-identity guard: SHA-256 digests of every stencil output, and of the
+`run_pair` metric records, on one fixed non-square synthetic pair.
 
 The oracle tests elsewhere compare against tolerances, so a change in
 summation order would pass them. These digests pin the exact bytes; a
 refactor that changes any last bit of a filtered raster, moment map, Sobel
-map, blur or fused result fails here.
+map, blur, fused result or metric record fails here.
 """
 
 import hashlib
@@ -12,6 +12,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from momentfuse.batch import run_pair
 from momentfuse.filters import preprocess
 from momentfuse.fusion import MomentFuser, local_moment_map
 from momentfuse.image import widen
@@ -45,6 +46,9 @@ EXPECTED = {
         "89246e20b2d6f3555708d14e25f8a6455f8f13c2b6922e6c96318769e9f20f08",
 }
 
+# SHA-256 of repr([(method, record) for every run_pair outcome]).
+RUN_PAIR_RECORDS = "afafcc649fa3edcb26846a354525143550dc4c900aa2df148bf0a0527a2e550f"
+
 
 def _digest(arr: np.ndarray) -> str:
     arr = np.ascontiguousarray(arr)
@@ -52,9 +56,18 @@ def _digest(arr: np.ndarray) -> str:
     return hashlib.sha256(header + arr.tobytes()).hexdigest()
 
 
-def _outputs() -> dict:
+def _pair():
     _, pair = synthesize_pairs(1, sigma=2.0, seed=11, height=67, width=70)[0]
-    a, b = pair.a, pair.b
+    return pair.a, pair.b
+
+
+def _records_digest() -> str:
+    records = repr([(o.method, o.record) for o in run_pair(*_pair())])
+    return hashlib.sha256(records.encode()).hexdigest()
+
+
+def _outputs() -> dict:
+    a, b = _pair()
     filtered = preprocess(a)
     out = {"preprocess": filtered}
     for p, q, window in ((1, 1, 3), (0, 0, 3), (2, 3, 5)):
@@ -81,6 +94,11 @@ def test_output_bytes_unchanged(outputs, name):
     assert _digest(outputs[name]) == EXPECTED[name]
 
 
+def test_run_pair_records_unchanged():
+    assert _records_digest() == RUN_PAIR_RECORDS
+
+
 if __name__ == "__main__":
     for key, value in _outputs().items():
         print(f'    "{key}": "{_digest(value)}",')
+    print(f'RUN_PAIR_RECORDS = "{_records_digest()}"')

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from momentfuse.metrics import (
     QabfConstants,
@@ -209,6 +212,22 @@ def test_sobel_matches_hand_stencil_oracle():
     bigger = rng.integers(0, 256, size=(7, 9), dtype=np.uint8)
     sx, sy = naive_sobel(bigger)
     assert np.allclose(sobel_edges(bigger).strength, np.hypot(sx, sy), atol=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(img=st.tuples(st.integers(1, 9), st.integers(1, 9)).flatmap(
+    lambda shape: arrays(np.uint8, shape)))
+@example(img=np.array([[0, 255], [255, 0]], dtype=np.uint8))
+def test_sobel_equals_stencil_oracle_exactly(img):
+    # uint8 samples make every partial sum an exact float64 integer, so the
+    # separable passes must reproduce the 3x3 stencil bit for bit; arctan is
+    # numpy's on both sides, and pi/2 fills every pixel where sx == 0.
+    sx, sy = naive_sobel(img)
+    edges = sobel_edges(img)
+    assert np.array_equal(edges.strength, np.hypot(sx, sy))
+    ratio = sy / np.where(sx == 0, 1.0, sx)
+    expected_orientation = np.where(sx == 0, math.pi / 2, np.arctan(ratio))
+    assert np.array_equal(edges.orientation, expected_orientation)
 
 
 def test_sobel_orientation_range():

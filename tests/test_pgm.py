@@ -49,6 +49,15 @@ def test_reject_p5_maxval_without_single_whitespace():
         load_pgm(b"P5\n2 1\n255#c\n\x01\x02")
 
 
+def test_reject_p5_bytes_after_raster():
+    # After a CRLF the CR is the single separator, so the LF would be decoded
+    # as the first sample and the raster shifted: [[10, 1]], not [[1, 2]].
+    with pytest.raises(PgmError, match="trailing"):
+        load_pgm(b"P5\n2 1\n255\r\n\x01\x02")
+    with pytest.raises(PgmError, match="trailing"):
+        load_pgm(b"P5\n2 1\n255\n\x01\x02\n")
+
+
 def test_reject_p6_magic():
     with pytest.raises(PgmError, match="magic"):
         load_pgm(b"P6\n1 1\n255\n" + bytes([1, 2, 3]))
