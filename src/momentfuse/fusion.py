@@ -11,6 +11,9 @@ constructor arguments stored under the same names, introspectable through
 """
 
 import inspect
+import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -25,6 +28,11 @@ from .validation import (
 )
 
 MAX_MOMENT_ORDER = 4  # guard against numeric blowup from huge index powers
+
+# Pixels per row strip of `MomentFuser.fuse`: a strip's float64 temporaries
+# stay cache-sized. At 2048^2 on a 2-core Xeon, strips of 2**14 pixels were
+# slower than the untiled fuse, because small strips contend for the GIL.
+_STRIP_PIXELS = 1 << 16
 
 
 @dataclass
@@ -59,14 +67,28 @@ def local_moment_map(img: np.ndarray, p: int = 1, q: int = 1, window: int = 3,
     p = q = 0 degenerates to a plain box sum.
     """
     arr = check_image_float(img)
+    _check_moment_params(p, q, window)
+
+    values = np.abs(arr) if magnitude else arr
+    index = np.arange(1, window + 1, dtype=np.float64)
+    return correlate(values, np.outer(index ** p, index ** q))
+
+
+def _check_moment_params(p: int, q: int, window: int):
+    """Raise ValueError unless the window is odd and >= 1 and both orders are in range."""
     if window < 1 or window % 2 == 0:
         raise ValueError(f"window must be odd and >= 1, got {window}")
     if not (0 <= p <= MAX_MOMENT_ORDER and 0 <= q <= MAX_MOMENT_ORDER):
         raise ValueError(f"moment orders must be in [0, {MAX_MOMENT_ORDER}], got p={p}, q={q}")
 
-    values = np.abs(arr) if magnitude else arr
-    index = np.arange(1, window + 1, dtype=np.float64)
-    return correlate(values, np.outer(index ** p, index ** q))
+
+def _worker_count(tasks: int) -> int:
+    """Threads for `tasks` independent strips: one per CPU this process may run on."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(tasks, cpus)
 
 
 def decision_map(moments_a: np.ndarray, moments_b: np.ndarray) -> np.ndarray:
@@ -148,23 +170,53 @@ class MomentFuser(Fuser):
         if self.source not in ("filtered", "original"):
             raise ValueError(f"source must be 'filtered' or 'original', got {self.source!r}")
         a, b = self._check_pair(a, b)
-        fa = preprocess(a, self.center)
-        fb = preprocess(b, self.center)
-        ma = local_moment_map(fa, self.p, self.q, self.window, self.magnitude)
-        mb = local_moment_map(fb, self.p, self.q, self.window, self.magnitude)
-        select_a = decision_map(ma, mb)
-        if self.source == "filtered":
-            fused_f = np.where(select_a, fa, fb)
-        else:
-            fused_f = np.where(select_a, widen(a), widen(b))
-        return FusionResult(
-            fused_u8=quantize(fused_f),
-            fused_f=fused_f,
+        _check_moment_params(self.p, self.q, self.window)
+        h, w = a.shape
+        result = FusionResult(
+            fused_u8=np.empty((h, w), np.uint8),
+            fused_f=np.empty((h, w)),
             method="moment",
-            decision=select_a,
-            moments_a=ma,
-            moments_b=mb,
+            decision=np.empty((h, w), bool),
+            moments_a=np.empty((h, w)),
+            moments_b=np.empty((h, w)),
         )
+        # Output row r depends on source rows r +- halo: the mask reaches one
+        # row, the moment window (ceil(window) rows, as np.arange builds it)
+        # half of that. Clipping the halo at the image edge reproduces the
+        # replicate padding, so each strip's rows are bit-identical to the
+        # full-raster pipeline's.
+        halo = 1 + math.ceil(self.window) // 2
+        rows = max(1, _STRIP_PIXELS // w)
+
+        def fuse_strip(top):
+            bottom = min(top + rows, h)
+            lo, hi = max(0, top - halo), min(h, bottom + halo)
+            keep = slice(top - lo, bottom - lo)
+            fa = preprocess(a[lo:hi], self.center)
+            fb = preprocess(b[lo:hi], self.center)
+            ma = local_moment_map(fa, self.p, self.q, self.window, self.magnitude)[keep]
+            mb = local_moment_map(fb, self.p, self.q, self.window, self.magnitude)[keep]
+            select_a = decision_map(ma, mb)
+            if self.source == "filtered":
+                fused_f = np.where(select_a, fa[keep], fb[keep])
+            else:
+                fused_f = np.where(select_a, widen(a[top:bottom]), widen(b[top:bottom]))
+            result.fused_u8[top:bottom] = quantize(fused_f)
+            result.fused_f[top:bottom] = fused_f
+            result.decision[top:bottom] = select_a
+            result.moments_a[top:bottom] = ma
+            result.moments_b[top:bottom] = mb
+
+        tops = range(0, h, rows)
+        workers = _worker_count(len(tops))
+        if workers == 1:
+            for top in tops:
+                fuse_strip(top)
+        else:
+            # A pool per call: a process forked later inherits no idle threads.
+            with ThreadPoolExecutor(workers) as pool:
+                list(pool.map(fuse_strip, tops))  # re-raises a strip's exception
+        return result
 
 
 class AverageFuser(Fuser):

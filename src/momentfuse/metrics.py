@@ -126,20 +126,50 @@ class QabfConstants:
             raise ValueError("weight_exponent must be >= 0")
 
 
+def _sigmoid_in_place(x: np.ndarray, gamma: float, kappa: float, sigma: float) -> np.ndarray:
+    """x := gamma / (1 + exp(kappa * (x - sigma))), one ufunc at a time."""
+    np.subtract(x, sigma, out=x)
+    np.multiply(kappa, x, out=x)
+    np.exp(x, out=x)
+    np.add(1.0, x, out=x)
+    return np.divide(gamma, x, out=x)
+
+
 def _preservation(src: EdgeMap, fused: EdgeMap, k: QabfConstants) -> np.ndarray:
-    """Per-pixel edge preservation of one source in the fused raster."""
+    """Per-pixel edge preservation of one source in the fused raster.
+
+    The steps are those of the expression
+
+        g_rel = where(gmax > 0, min(gs, gf) / gmax, 0)
+        diff = |os - of|;  diff = min(diff, pi - diff)
+        a_rel = 1 - clip(diff, 0, pi/2) / (pi/2)
+        qg = gamma_g / (1 + exp(kappa_g * (g_rel - sigma_g)))   (qa alike)
+        where(gs > 0, qg * qa, 0)
+
+    run in place, in the same order, so every bit of the result is the
+    expression's. Two full-size buffers hold the work, plus a short-lived
+    one for pi - diff.
+    """
     gs, gf = src.strength, fused.strength
+    qg = np.minimum(gs, gf)
     gmax = np.maximum(gs, gf)
-    with np.errstate(invalid="ignore"):
-        g_rel = np.where(gmax > 0.0, np.minimum(gs, gf) / gmax, 0.0)
-    diff = np.abs(src.orientation - fused.orientation)
-    diff = np.minimum(diff, math.pi - diff)
-    a_rel = 1.0 - np.clip(diff, 0.0, math.pi / 2) / (math.pi / 2)
-    qg = k.gamma_g / (1.0 + np.exp(k.kappa_g * (g_rel - k.sigma_g)))
-    qa = k.gamma_a / (1.0 + np.exp(k.kappa_a * (a_rel - k.sigma_a)))
+    # Strengths are >= 0, so where gmax == 0 the minimum already holds g_rel = 0.
+    np.divide(qg, gmax, out=qg, where=gmax > 0.0)
+    _sigmoid_in_place(qg, k.gamma_g, k.kappa_g, k.sigma_g)
+
+    qa = np.subtract(src.orientation, fused.orientation, out=gmax)
+    np.abs(qa, out=qa)
+    np.minimum(qa, math.pi - qa, out=qa)
+    np.clip(qa, 0.0, math.pi / 2, out=qa)
+    np.divide(qa, math.pi / 2, out=qa)
+    np.subtract(1.0, qa, out=qa)
+    _sigmoid_in_place(qa, k.gamma_a, k.kappa_a, k.sigma_a)
+
+    np.multiply(qg, qa, out=qg)
     # Gradient-free source pixels preserve nothing by convention; their zero
     # weight removes them from the ratio anyway.
-    return np.where(gs > 0.0, qg * qa, 0.0)
+    np.copyto(qg, 0.0, where=~(gs > 0.0))
+    return qg
 
 
 # Source terms of the pair being scored: {(id(a), id(b), exponent): (a, b, terms)}.
@@ -198,8 +228,12 @@ def qabf(a: np.ndarray, b: np.ndarray, f: np.ndarray,
     if total == 0.0:
         return 0.0, True
     edges_f = sobel_edges(f)
-    score = float(np.sum(_preservation(edges_a, edges_f, k) * weight_a
-                         + _preservation(edges_b, edges_f, k) * weight_b) / total)
+    kept = _preservation(edges_a, edges_f, k)
+    kept *= weight_a
+    kept_b = _preservation(edges_b, edges_f, k)
+    kept_b *= weight_b
+    kept += kept_b
+    score = float(np.sum(kept) / total)
     return score, False
 
 

@@ -1,11 +1,20 @@
 """Decision-map semantics, the three fusers, and their invariants."""
 
+import hashlib
 import math
+import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from momentfuse.filters import convolve3, high_boost_mask
+from momentfuse import fusion
+from momentfuse.filters import convolve3, high_boost_mask, preprocess
 from momentfuse.fusion import (
     AverageFuser,
     MomentFuser,
@@ -253,3 +262,128 @@ def test_estimator_param_round_trip():
     with pytest.raises(ValueError):
         fuser.set_params(bogus=1)
     assert "window=5" in repr(fuser)
+
+
+def staged_fuse(fuser, a, b):
+    """The full-raster pipeline `MomentFuser.fuse` cuts into row strips."""
+    fa = preprocess(a, fuser.center)
+    fb = preprocess(b, fuser.center)
+    ma = local_moment_map(fa, fuser.p, fuser.q, fuser.window, fuser.magnitude)
+    mb = local_moment_map(fb, fuser.p, fuser.q, fuser.window, fuser.magnitude)
+    select_a = decision_map(ma, mb)
+    if fuser.source == "filtered":
+        fused_f = np.where(select_a, fa, fb)
+    else:
+        fused_f = np.where(select_a, widen(a), widen(b))
+    return quantize(fused_f), fused_f, select_a, ma, mb
+
+
+def assert_same_outputs(result, expected):
+    got = (result.fused_u8, result.fused_f, result.decision, result.moments_a, result.moments_b)
+    for out, want in zip(got, expected):
+        assert out.dtype == want.dtype and np.array_equal(out, want)
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (300, 200)])
+@pytest.mark.parametrize("params, message", [
+    ({"window": -5}, "window must be odd and >= 1, got -5"),
+    ({"window": 0}, "window must be odd and >= 1, got 0"),
+    ({"window": 2}, "window must be odd and >= 1, got 2"),
+    ({"p": 7}, "moment orders must be in [0, 4], got p=7, q=1"),
+    ({"source": "both"}, "source must be 'filtered' or 'original', got 'both'"),
+])
+def test_fuse_rejects_bad_params_before_tiling(shape, params, message):
+    # A negative window used to give a negative halo, and with it an empty
+    # strip whose zero-dimension error hid the real one.
+    a = np.zeros(shape, np.uint8)
+    with pytest.raises(ValueError) as info:
+        MomentFuser(**params).fuse(a, a)
+    assert str(info.value) == message
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.tuples(st.integers(1, 40), st.integers(1, 12)).flatmap(
+        lambda shape: st.tuples(arrays(np.uint8, shape), arrays(np.uint8, shape))),
+    strip_pixels=st.sampled_from([1, 7, 64]),
+    window=st.sampled_from([1, 3, 5, 7]),
+    orders=st.sampled_from([(0, 0), (1, 1), (2, 3)]),
+    magnitude=st.booleans(),
+    source=st.sampled_from(["filtered", "original"]),
+)
+def test_fuse_is_tiling_invariant(data, strip_pixels, window, orders, magnitude, source):
+    a, b = data
+    fuser = MomentFuser(p=orders[0], q=orders[1], window=window,
+                        magnitude=magnitude, source=source)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fusion, "_STRIP_PIXELS", strip_pixels)
+        result = fuser.fuse(a, b)
+    assert_same_outputs(result, staged_fuse(fuser, a, b))
+
+
+@pytest.mark.parametrize("workers", [1, 8])
+def test_fuse_matches_staged_on_any_worker_count(monkeypatch, workers):
+    # Strips share the output arrays; with more threads than cores and a
+    # short switch interval, a strip writing outside its rows would show.
+    rng = np.random.default_rng(17)
+    a, b = rng.integers(0, 256, size=(2, 97, 13), dtype=np.uint8)
+    monkeypatch.setattr(fusion, "_STRIP_PIXELS", 50)
+    monkeypatch.setattr(fusion, "_worker_count", lambda tasks: min(tasks, workers))
+    fuser = MomentFuser(window=5)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        result = fuser.fuse(a, b)
+    finally:
+        sys.setswitchinterval(interval)
+    assert_same_outputs(result, staged_fuse(fuser, a, b))
+
+
+def test_worker_count_follows_cpu_affinity(monkeypatch):
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert fusion._worker_count(1) == 1
+    assert fusion._worker_count(10**6) == cpus
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert fusion._worker_count(10**6) == (os.cpu_count() or 1)
+
+
+def fusion_digest(result):
+    digest = hashlib.sha256()
+    for arr in (result.fused_u8, result.fused_f, result.decision):
+        digest.update(arr.tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_fuse_leaves_no_threads_and_works_after_fork(monkeypatch):
+    monkeypatch.setattr(fusion, "_STRIP_PIXELS", 256)  # 60 strips of 8 rows
+    rng = np.random.default_rng(23)
+    a, b = rng.integers(0, 256, size=(2, 480, 32), dtype=np.uint8)
+    threads = threading.active_count()
+    parent = fusion_digest(MomentFuser().fuse(a, b))
+    assert threading.active_count() == threads
+
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # child: fuse again, report the digest, exit without cleanup
+        status = 1
+        try:
+            os.write(write_end, fusion_digest(MomentFuser().fuse(a, b)).encode())
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    deadline = time.monotonic() + 60
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done or time.monotonic() > deadline:
+            break
+        time.sleep(0.01)
+    if not done:
+        os.kill(pid, 9)
+        os.waitpid(pid, 0)
+    with os.fdopen(read_end, "rb") as pipe:
+        child = pipe.read().decode()
+    assert done, "fuse in a forked child did not return"
+    assert os.waitstatus_to_exitcode(status) == 0
+    assert child == parent

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from momentfuse.metrics import (
+    EdgeMap,
     QabfConstants,
+    _preservation,
     entropy,
     evaluate,
     histogram256,
@@ -293,6 +295,58 @@ def test_qabf_constants_validation():
         QabfConstants(weight_exponent=-1.0)
     with pytest.raises(ValueError):
         QabfConstants(kappa_g=float("nan"))
+
+
+def expression_preservation(src, fused, k):
+    """`_preservation` as one numpy expression, as it was written before it
+    ran in place; the in-place form must match it bit for bit."""
+    gs, gf = src.strength, fused.strength
+    gmax = np.maximum(gs, gf)
+    with np.errstate(invalid="ignore"):
+        g_rel = np.where(gmax > 0.0, np.minimum(gs, gf) / gmax, 0.0)
+    diff = np.abs(src.orientation - fused.orientation)
+    diff = np.minimum(diff, math.pi - diff)
+    a_rel = 1.0 - np.clip(diff, 0.0, math.pi / 2) / (math.pi / 2)
+    qg = k.gamma_g / (1.0 + np.exp(k.kappa_g * (g_rel - k.sigma_g)))
+    qa = k.gamma_a / (1.0 + np.exp(k.kappa_a * (a_rel - k.sigma_a)))
+    return np.where(gs > 0.0, qg * qa, 0.0)
+
+
+HALF_PI = math.pi / 2
+JUST_ABOVE_MINUS_HALF_PI = float(np.nextafter(-HALF_PI, 0.0))
+# (gs, gf, source orientation, fused orientation) held by every drawn map:
+# gs == 0 with gf > 0, gmax == 0, and orientation differences near +pi and -pi.
+PRESERVATION_EDGE_CASES = [
+    (0.0, 3.0, 0.25, -0.5),
+    (0.0, 0.0, HALF_PI, HALF_PI),
+    (5.0, 5.0, HALF_PI, JUST_ABOVE_MINUS_HALF_PI),
+    (2.0, 7.0, JUST_ABOVE_MINUS_HALF_PI, HALF_PI),
+    (4.0, 0.0, -1.5, 1.5),
+]
+PRESERVATION_CONSTANTS = [QabfConstants(), QabfConstants(sigma_g=0.1, sigma_a=0.1, kappa_g=-3.0)]
+
+strengths = st.one_of(st.just(0.0), st.floats(0.0, 2000.0))
+orientations = st.one_of(st.sampled_from([HALF_PI, JUST_ABOVE_MINUS_HALF_PI, 0.0]),
+                         st.floats(-HALF_PI, HALF_PI))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pixels=st.lists(st.tuples(strengths, strengths, orientations, orientations), max_size=40),
+       k=st.sampled_from(PRESERVATION_CONSTANTS))
+def test_preservation_equals_expression_form_exactly(pixels, k):
+    gs, gf, o_src, o_fused = np.array(PRESERVATION_EDGE_CASES + pixels).T.reshape(4, 1, -1)
+    src, fused = EdgeMap(gs, o_src), EdgeMap(gf, o_fused)
+    assert np.array_equal(_preservation(src, fused, k), expression_preservation(src, fused, k))
+
+
+@settings(max_examples=100, deadline=None)
+@given(images=st.tuples(st.integers(1, 9), st.integers(1, 9)).flatmap(
+    lambda shape: st.tuples(arrays(np.uint8, shape, elements=st.sampled_from([0, 1, 9, 255])),
+                            arrays(np.uint8, shape))),
+       k=st.sampled_from(PRESERVATION_CONSTANTS))
+def test_preservation_of_sobel_maps_equals_expression_form_exactly(images, k):
+    src, fused = (sobel_edges(img) for img in images)
+    assert np.array_equal(_preservation(src, fused, k), expression_preservation(src, fused, k))
 
 
 def test_evaluate_bundles_the_four_metrics():
