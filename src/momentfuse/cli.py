@@ -22,7 +22,7 @@ from .batch import (
 from .filters import DEFAULT_CENTER_WEIGHT
 from .fusion import FUSION_METHODS, make_fuser
 from .metrics import evaluate
-from .pgm import PgmError, read_pgm, write_pgm
+from .pgm import PgmError, read_pgm, write_atomically, write_pgm
 from .synthetic import synthesize_pairs
 from .validation import ShapeMismatchError
 
@@ -203,10 +203,10 @@ def cmd_fuse(args) -> int:
     b = read_pgm(in_b)
     fuser = make_fuser(method, **_fuser_params(args, config))
     result = fuser.fuse(a, b)
+    if dump_decision is not None and result.decision is None:
+        raise UsageError(f"--dump-decision needs a selection method; {method!r} has no decision map")
     write_pgm(out, result.fused_u8)
     if dump_decision is not None:
-        if result.decision is None:
-            raise UsageError(f"--dump-decision needs a selection method; {method!r} has no decision map")
         write_pgm(dump_decision, np.where(result.decision, 255, 0).astype(np.uint8))
     height, width = result.fused_u8.shape
     print(f"wrote {out} ({width}x{height}, method={method})")
@@ -256,8 +256,7 @@ def cmd_batch(args) -> int:
     )
     for pair_id, reason in report.skipped:
         print(f"skipped {pair_id}: {reason}", file=sys.stderr)
-    with open(report_path, "wb") as fh:
-        fh.write(emit_report(report, fmt))
+    write_atomically(report_path, emit_report(report, fmt))
     n_pairs = len({row.pair_id for row in report.rows})
     print(f"wrote {report_path} ({n_pairs} pairs x {len(methods)} methods, format={fmt})")
     return 0

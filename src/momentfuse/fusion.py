@@ -10,17 +10,15 @@ constructor arguments stored under the same names, introspectable through
 ``get_params`` / ``set_params``, and ``fuse(a, b)`` is stateless.
 """
 
-import inspect
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
 
 from .filters import DEFAULT_CENTER_WEIGHT, preprocess
-from .image import correlate, quantize, widen
+from .image import correlate, quantize, round_u8, widen
 from .validation import (
     check_image_float,
     check_image_u8,
@@ -66,20 +64,23 @@ def local_moment_map(img: np.ndarray, p: int = 1, q: int = 1, window: int = 3,
 
     p = q = 0 degenerates to a plain box sum.
     """
-    arr = check_image_float(img)
-    _check_moment_params(p, q, window)
-
-    values = np.abs(arr) if magnitude else arr
-    index = np.arange(1, window + 1, dtype=np.float64)
-    return correlate(values, np.outer(index ** p, index ** q))
+    return _moment(check_image_float(img), _moment_weights(p, q, window), magnitude)
 
 
-def _check_moment_params(p: int, q: int, window: int):
-    """Raise ValueError unless the window is odd and >= 1 and both orders are in range."""
+def _moment_weights(p: int, q: int, window: int) -> np.ndarray:
+    """The window's weights r**p * c**q; raises ValueError unless the window
+    is odd and >= 1 and both orders are in range."""
     if window < 1 or window % 2 == 0:
         raise ValueError(f"window must be odd and >= 1, got {window}")
     if not (0 <= p <= MAX_MOMENT_ORDER and 0 <= q <= MAX_MOMENT_ORDER):
         raise ValueError(f"moment orders must be in [0, {MAX_MOMENT_ORDER}], got p={p}, q={q}")
+    index = np.arange(1, window + 1, dtype=np.float64)
+    return np.outer(index ** p, index ** q)
+
+
+def _moment(arr: np.ndarray, weights: np.ndarray, magnitude: bool) -> np.ndarray:
+    """`local_moment_map` of a finite float64 raster, without the checks."""
+    return correlate(np.abs(arr) if magnitude else arr, weights)
 
 
 def _worker_count(tasks: int) -> int:
@@ -104,12 +105,11 @@ def decision_map(moments_a: np.ndarray, moments_b: np.ndarray) -> np.ndarray:
 
 
 class Fuser:
-    """Base class for two-image fusers with estimator-style parameter access."""
+    """Base class for two-image fusers: dataclasses whose fields are their parameters."""
 
     @classmethod
     def _param_names(cls):
-        sig = inspect.signature(cls.__init__)
-        return [n for n in sig.parameters if n != "self"]
+        return [field.name for field in fields(cls)]
 
     def get_params(self, deep: bool = True) -> dict:
         """Return constructor parameters as a dict (estimator convention)."""
@@ -124,10 +124,6 @@ class Fuser:
             setattr(self, name, value)
         return self
 
-    def __repr__(self):
-        args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
-        return f"{type(self).__name__}({args})"
-
     def fuse(self, a, b) -> FusionResult:
         raise NotImplementedError
 
@@ -138,6 +134,7 @@ class Fuser:
         return a, b
 
 
+@dataclass(eq=False)
 class MomentFuser(Fuser):
     """Salient-feature fusion through local-moment decision maps.
 
@@ -156,21 +153,18 @@ class MomentFuser(Fuser):
     center : center weight of the preprocessing mask (default 17.9).
     """
 
-    def __init__(self, p: int = 1, q: int = 1, window: int = 3,
-                 magnitude: bool = True, source: str = "filtered",
-                 center: float = DEFAULT_CENTER_WEIGHT):
-        self.p = p
-        self.q = q
-        self.window = window
-        self.magnitude = magnitude
-        self.source = source
-        self.center = center
+    p: int = 1
+    q: int = 1
+    window: int = 3
+    magnitude: bool = True
+    source: str = "filtered"
+    center: float = DEFAULT_CENTER_WEIGHT
 
     def fuse(self, a, b) -> FusionResult:
         if self.source not in ("filtered", "original"):
             raise ValueError(f"source must be 'filtered' or 'original', got {self.source!r}")
         a, b = self._check_pair(a, b)
-        _check_moment_params(self.p, self.q, self.window)
+        weights = _moment_weights(self.p, self.q, self.window)
         h, w = a.shape
         result = FusionResult(
             fused_u8=np.empty((h, w), np.uint8),
@@ -181,11 +175,11 @@ class MomentFuser(Fuser):
             moments_b=np.empty((h, w)),
         )
         # Output row r depends on source rows r +- halo: the mask reaches one
-        # row, the moment window (ceil(window) rows, as np.arange builds it)
-        # half of that. Clipping the halo at the image edge reproduces the
-        # replicate padding, so each strip's rows are bit-identical to the
-        # full-raster pipeline's.
-        halo = 1 + math.ceil(self.window) // 2
+        # row, the moment window half its side. Clipping the halo at the image
+        # edge reproduces the replicate padding, so strips are bit-identical to
+        # the full-raster run. Their rasters derive from the checked pair, so
+        # they are finite and skip the public stages' checks.
+        halo = 1 + len(weights) // 2
         rows = max(1, _STRIP_PIXELS // w)
 
         def fuse_strip(top):
@@ -194,18 +188,18 @@ class MomentFuser(Fuser):
             keep = slice(top - lo, bottom - lo)
             fa = preprocess(a[lo:hi], self.center)
             fb = preprocess(b[lo:hi], self.center)
-            ma = local_moment_map(fa, self.p, self.q, self.window, self.magnitude)[keep]
-            mb = local_moment_map(fb, self.p, self.q, self.window, self.magnitude)[keep]
-            select_a = decision_map(ma, mb)
+            ma = result.moments_a[top:bottom]
+            mb = result.moments_b[top:bottom]
+            ma[:] = _moment(fa, weights, self.magnitude)[keep]
+            mb[:] = _moment(fb, weights, self.magnitude)[keep]
+            select_a = np.greater_equal(ma, mb, out=result.decision[top:bottom])
             if self.source == "filtered":
                 fused_f = np.where(select_a, fa[keep], fb[keep])
-            else:
-                fused_f = np.where(select_a, widen(a[top:bottom]), widen(b[top:bottom]))
-            result.fused_u8[top:bottom] = quantize(fused_f)
+                result.fused_u8[top:bottom] = round_u8(fused_f)
+            else:  # a widened uint8 sample rounds back to itself
+                fused_f = np.where(select_a, a[top:bottom], b[top:bottom])
+                result.fused_u8[top:bottom] = fused_f
             result.fused_f[top:bottom] = fused_f
-            result.decision[top:bottom] = select_a
-            result.moments_a[top:bottom] = ma
-            result.moments_b[top:bottom] = mb
 
         tops = range(0, h, rows)
         workers = _worker_count(len(tops))
@@ -219,11 +213,9 @@ class MomentFuser(Fuser):
         return result
 
 
+@dataclass(eq=False)
 class AverageFuser(Fuser):
     """Pixel-by-pixel mean of the two sources; the simplest baseline."""
-
-    def __init__(self):
-        pass
 
     def fuse(self, a, b) -> FusionResult:
         a, b = self._check_pair(a, b)
@@ -231,12 +223,10 @@ class AverageFuser(Fuser):
         return FusionResult(fused_u8=quantize(fused_f), fused_f=fused_f, method="average")
 
 
+@dataclass(eq=False)
 class PcaFuser(Fuser):
     """Global weighted blend with weights from the principal eigenvector of
     the pair's 2x2 sample covariance."""
-
-    def __init__(self):
-        pass
 
     def fuse(self, a, b) -> FusionResult:
         a, b = self._check_pair(a, b)

@@ -57,7 +57,11 @@ def quantize(img: np.ndarray) -> np.ndarray:
 
     Raises ValueError if any sample is NaN or infinite.
     """
-    arr = check_image_float(img)
+    return round_u8(check_image_float(img))
+
+
+def round_u8(arr: np.ndarray) -> np.ndarray:
+    """`quantize` without the checks: `arr` must be a finite float64 raster."""
     clipped = np.clip(arr, 0.0, 255.0)
     # After clipping all values are >= 0, so half away from zero == floor(x + 0.5).
     return np.floor(clipped + 0.5).astype(np.uint8)

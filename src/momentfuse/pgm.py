@@ -5,6 +5,9 @@ the header. Encoding and decoding are bit-exact: the P2 and P5 encodings of
 the same raster decode to identical arrays, and save -> load is the identity.
 """
 
+import contextlib
+import os
+
 import numpy as np
 
 from .validation import check_image_u8
@@ -130,6 +133,25 @@ def read_pgm(path) -> np.ndarray:
 
 
 def write_pgm(path, img: np.ndarray, binary: bool = True):
-    """Write a raster to disk as PGM."""
-    with open(path, "wb") as fh:
-        fh.write(save_pgm(img, binary=binary))
+    """Write a raster to disk as PGM, replacing any file at `path` whole."""
+    write_atomically(path, save_pgm(img, binary=binary))
+
+
+def write_atomically(path, data: bytes):
+    """Write `data` to `<path>.<pid>.tmp` in the target directory, then
+    rename it over `path`, so a failed write leaves any previous file intact.
+
+    The temp file is opened like `path` would be, so it gets the umask's
+    mode, and it is deleted on failure. Its name never ends in `.pgm`, so
+    pair discovery ignores one that a killed process left behind. There is
+    no fsync: this guards against a crashing process, not a power cut.
+    """
+    tmp = f"{os.fsdecode(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise

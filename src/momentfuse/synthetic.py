@@ -72,28 +72,26 @@ def complementary_blur_pair(base: np.ndarray, seam: int, sigma: float) -> Synthe
     return SyntheticPair(a=a, b=b, sharp_is_a=truth, seam=seam, sigma=sigma)
 
 
-def random_texture(height: int, width: int, rng: np.random.Generator,
-                   tile_side: tuple[int, int] = (8, 16),
-                   tile_levels: tuple[float, float] = (90.0, 190.0),
-                   dot_value: int = 15, dot_step: int = 3) -> np.ndarray:
+def random_texture(height: int, width: int, rng: np.random.Generator) -> np.ndarray:
     """Reproducible test card: flat bright tiles under a regular grid of dark
     dots.
 
-    The dot lattice plants one strong dark feature in every dot_step x
-    dot_step neighborhood, so blurring is detectable at every pixel; the flat
-    tiles in between keep the content piecewise-constant with crisp
-    full-range boundaries. Tile sizes and levels are drawn from rng."""
+    The dot lattice plants one strong dark feature (value 15) in every 3 x 3
+    neighborhood, so blurring is detectable at every pixel; the flat tiles in
+    between keep the content piecewise-constant with crisp full-range
+    boundaries. Tile sides (8 to 16 pixels) and levels (90 to 190) are drawn
+    from rng."""
     img = np.zeros((height, width))
     row = 0
     while row < height:
-        tile_h = int(rng.integers(tile_side[0], tile_side[1] + 1))
+        tile_h = int(rng.integers(8, 17))
         col = 0
         while col < width:
-            tile_w = int(rng.integers(tile_side[0], tile_side[1] + 1))
-            img[row:row + tile_h, col:col + tile_w] = rng.uniform(*tile_levels)
+            tile_w = int(rng.integers(8, 17))
+            img[row:row + tile_h, col:col + tile_w] = rng.uniform(90.0, 190.0)
             col += tile_w
         row += tile_h
-    img[::dot_step, ::dot_step] = dot_value
+    img[::3, ::3] = 15
     return quantize(img)
 
 

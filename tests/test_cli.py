@@ -1,10 +1,12 @@
 """End-to-end CLI tests: subcommands, exit codes, and config files."""
 
 import json
+import os
 
 import numpy as np
 import pytest
 
+from momentfuse import cli
 from momentfuse.cli import main
 from momentfuse.filters import preprocess
 from momentfuse.fusion import MomentFuser
@@ -66,6 +68,7 @@ def test_fuse_dump_decision_requires_selection_method(pair_files, tmp_path):
                  "--out", str(tmp_path / "f.pgm"), "--method", "average",
                  "--dump-decision", str(tmp_path / "d.pgm")])
     assert code == 1
+    assert not (tmp_path / "f.pgm").exists()
 
 
 def test_fuse_missing_input_is_data_error(tmp_path):
@@ -139,6 +142,32 @@ def test_batch_deterministic_reports(tmp_path):
     assert main(["batch", "--dir", str(data_dir), "--report", str(r1), "--seed", "1"]) == 0
     assert main(["batch", "--dir", str(data_dir), "--report", str(r2), "--seed", "1"]) == 0
     assert r1.read_bytes() == r2.read_bytes()
+
+
+@pytest.mark.parametrize("fault", ["emit_report", "os.replace"])
+def test_failed_batch_keeps_previous_report(tmp_path, monkeypatch, capsys, fault):
+    data_dir = tmp_path / "pairs"
+    main(["synth", "--out-dir", str(data_dir), "--pairs", "2", "--seed", "7"])
+    report = tmp_path / "r.csv"
+    args = ["batch", "--dir", str(data_dir), "--methods", "average", "--report", str(report)]
+    assert main(args) == 0
+    before = report.read_bytes()
+
+    if fault == "emit_report":
+        def broken_emit(*args):
+            raise RuntimeError("injected")
+        monkeypatch.setattr(cli, "emit_report", broken_emit)
+        with pytest.raises(RuntimeError, match="injected"):
+            main(args)
+    else:
+        def broken_replace(src, dst):
+            assert os.path.exists(src)  # the new report was written in full first
+            raise OSError("injected")
+        monkeypatch.setattr(os, "replace", broken_replace)
+        assert main(args) == 2
+        assert "injected" in capsys.readouterr().err
+    assert report.read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == ["pairs", "r.csv"]
 
 
 def test_batch_json_report_with_manifest_and_skipped(tmp_path, capsys):

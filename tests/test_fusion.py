@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from momentfuse import fusion
+from momentfuse import filters, fusion, image
 from momentfuse.filters import convolve3, high_boost_mask, preprocess
 from momentfuse.fusion import (
     AverageFuser,
@@ -59,6 +59,19 @@ def test_decision_map_strict_and_tie_cases():
 def test_decision_map_rejects_mismatched_shapes():
     with pytest.raises(ShapeMismatchError):
         decision_map(np.zeros((2, 2)), np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_public_stages_reject_non_finite(bad):
+    clean = np.ones((3, 4))
+    dirty = clean.copy()
+    dirty[1, 2] = bad
+    with pytest.raises(ValueError, match="^image contains non-finite samples$"):
+        local_moment_map(dirty)
+    with pytest.raises(ValueError, match="^first moment map contains non-finite samples$"):
+        decision_map(dirty, clean)
+    with pytest.raises(ValueError, match="^second moment map contains non-finite samples$"):
+        decision_map(clean, dirty)
 
 
 def test_decision_map_random_with_forced_ties():
@@ -336,6 +349,27 @@ def test_fuse_matches_staged_on_any_worker_count(monkeypatch, workers):
         result = fuser.fuse(a, b)
     finally:
         sys.setswitchinterval(interval)
+    assert_same_outputs(result, staged_fuse(fuser, a, b))
+
+
+@pytest.mark.parametrize("source", ["filtered", "original"])
+def test_fuse_validates_once_at_its_boundary(monkeypatch, source):
+    # The strips derive every float raster from the checked uint8 pair, so
+    # they run the unchecked kernels on moment weights built once per call.
+    float_checks = []
+    for module in (fusion, filters, image):
+        check = module.check_image_float
+        monkeypatch.setattr(module, "check_image_float",
+                            lambda *args, _check=check: float_checks.append(args) or _check(*args))
+    builds = []
+    build = fusion._moment_weights
+    monkeypatch.setattr(fusion, "_moment_weights", lambda *args: builds.append(args) or build(*args))
+    monkeypatch.setattr(fusion, "_STRIP_PIXELS", 64)  # 10 strips of 4 rows
+    rng = np.random.default_rng(29)
+    a, b = rng.integers(0, 256, size=(2, 40, 16), dtype=np.uint8)
+    fuser = MomentFuser(window=5, source=source)
+    result = fuser.fuse(a, b)
+    assert float_checks == [] and builds == [(1, 1, 5)]
     assert_same_outputs(result, staged_fuse(fuser, a, b))
 
 

@@ -1,5 +1,8 @@
 """PGM codec tests: bit-exact decoding, round-trips, and distinct errors."""
 
+import os
+import stat
+
 import numpy as np
 import pytest
 
@@ -125,3 +128,14 @@ def test_file_roundtrip(tmp_path):
     path = tmp_path / "img.pgm"
     write_pgm(path, img)
     assert np.array_equal(read_pgm(path), img)
+
+
+def test_write_pgm_replaces_whole_file_with_umask_mode(tmp_path):
+    path = tmp_path / "img.pgm"
+    write_pgm(path, np.zeros((2, 2), dtype=np.uint8))
+    write_pgm(path, np.ones((1, 3), dtype=np.uint8))
+    assert np.array_equal(read_pgm(path), np.ones((1, 3)))
+    assert os.listdir(tmp_path) == ["img.pgm"]  # no temp file left behind
+    umask = os.umask(0)
+    os.umask(umask)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
