@@ -2,8 +2,9 @@
 
 A batch run fuses every registered pair with each requested method, evaluates
 the full metric suite on each fused result, and aggregates per-method means.
-Pairs that fail to load are recorded and skipped rather than aborting the
-run; reports are deterministic byte-for-byte given equal inputs.
+Pairs that fail to load, fuse or evaluate are recorded and skipped rather
+than aborting the run; reports are deterministic byte-for-byte given equal
+inputs.
 """
 
 import json
@@ -138,8 +139,10 @@ def run_batch(pairs: list[PairSpec], methods=FUSION_METHODS,
     """Run every (pair, method) combination and aggregate per-method means.
 
     Pairs whose files fail to decode or whose dimensions disagree are
-    reported under `skipped`. Raises EmptyBatchError when no pair at all
-    produces a result.
+    reported under `skipped` with the error message; a pair whose fusion or
+    evaluation raises is reported there as "<Type>: <message>" and leaves no
+    row. KeyboardInterrupt still stops the run. Raises EmptyBatchError when
+    no pair at all produces a result.
     """
     rows = []
     skipped = []
@@ -151,8 +154,14 @@ def run_batch(pairs: list[PairSpec], methods=FUSION_METHODS,
         except (OSError, PgmError, ShapeMismatchError) as exc:
             skipped.append((spec.pair_id, str(exc)))
             continue
-        for outcome in run_pair(a, b, methods, constants, **fuser_params):
-            rows.append(BatchRow(spec.pair_id, outcome.method, outcome.record))
+        pair_rows = []
+        try:
+            for outcome in run_pair(a, b, methods, constants, **fuser_params):
+                pair_rows.append(BatchRow(spec.pair_id, outcome.method, outcome.record))
+        except Exception as exc:  # a failing fuser or metric loses only its pair
+            skipped.append((spec.pair_id, f"{type(exc).__name__}: {exc}"))
+            continue
+        rows.extend(pair_rows)
     if not rows:
         raise EmptyBatchError("batch produced no results: empty or fully skipped pair set")
     rows.sort(key=lambda row: (row.pair_id, row.method))

@@ -27,8 +27,8 @@ from .validation import (
 
 MAX_MOMENT_ORDER = 4  # guard against numeric blowup from huge index powers
 
-# Pixels per row strip of `MomentFuser.fuse`: a strip's float64 temporaries
-# stay cache-sized. At 2048^2 on a 2-core Xeon, strips of 2**14 pixels were
+# Pixels per row strip of `_run_strips`: a strip's float64 temporaries stay
+# cache-sized. At 2048^2 on a 2-core Xeon, strips of 2**14 pixels were
 # slower than the untiled fuse, because small strips contend for the GIL.
 _STRIP_PIXELS = 1 << 16
 
@@ -90,6 +90,40 @@ def _worker_count(tasks: int) -> int:
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
     return min(tasks, cpus)
+
+
+def _strip_rows(width: int) -> int:
+    """Rows per strip of `_run_strips` on a raster `width` pixels wide."""
+    return max(1, _STRIP_PIXELS // width)
+
+
+def _run_strips(height: int, width: int, halo: int, fn) -> None:
+    """Call fn(top, bottom, lo, hi, keep) once per row strip of a raster.
+
+    A strip makes output rows [top, bottom) from input rows [lo, hi): its
+    rows plus `halo` rows on each side, clipped at the image edge, with
+    `keep` slicing its own rows out of them. Clipping reproduces replicate
+    padding, so a stencil whose vertical reach is at most `halo` gives the
+    same bits strip by strip as on the full raster. Strips hold about
+    `_STRIP_PIXELS` pixels and run on one thread per CPU, or inline when
+    there is one strip or one CPU. `fn` must write only its own rows.
+    """
+    rows = _strip_rows(width)
+
+    def run(top):
+        bottom = min(top + rows, height)
+        lo, hi = max(0, top - halo), min(height, bottom + halo)
+        fn(top, bottom, lo, hi, slice(top - lo, bottom - lo))
+
+    tops = range(0, height, rows)
+    workers = _worker_count(len(tops))
+    if workers == 1:
+        for top in tops:
+            run(top)
+    else:
+        # A pool per call: a process forked later inherits no idle threads.
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(run, tops))  # re-raises a strip's exception
 
 
 def decision_map(moments_a: np.ndarray, moments_b: np.ndarray) -> np.ndarray:
@@ -174,18 +208,10 @@ class MomentFuser(Fuser):
             moments_a=np.empty((h, w)),
             moments_b=np.empty((h, w)),
         )
-        # Output row r depends on source rows r +- halo: the mask reaches one
-        # row, the moment window half its side. Clipping the halo at the image
-        # edge reproduces the replicate padding, so strips are bit-identical to
-        # the full-raster run. Their rasters derive from the checked pair, so
-        # they are finite and skip the public stages' checks.
-        halo = 1 + len(weights) // 2
-        rows = max(1, _STRIP_PIXELS // w)
 
-        def fuse_strip(top):
-            bottom = min(top + rows, h)
-            lo, hi = max(0, top - halo), min(h, bottom + halo)
-            keep = slice(top - lo, bottom - lo)
+        # The strips' rasters derive from the checked pair, so they are
+        # finite and skip the public stages' checks.
+        def fuse_strip(top, bottom, lo, hi, keep):
             fa = preprocess(a[lo:hi], self.center)
             fb = preprocess(b[lo:hi], self.center)
             ma = result.moments_a[top:bottom]
@@ -201,15 +227,9 @@ class MomentFuser(Fuser):
                 result.fused_u8[top:bottom] = fused_f
             result.fused_f[top:bottom] = fused_f
 
-        tops = range(0, h, rows)
-        workers = _worker_count(len(tops))
-        if workers == 1:
-            for top in tops:
-                fuse_strip(top)
-        else:
-            # A pool per call: a process forked later inherits no idle threads.
-            with ThreadPoolExecutor(workers) as pool:
-                list(pool.map(fuse_strip, tops))  # re-raises a strip's exception
+        # Output row r depends on source rows r +- halo: the mask reaches one
+        # row, the moment window half its side.
+        _run_strips(h, w, 1 + len(weights) // 2, fuse_strip)
         return result
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fusion import _run_strips, _strip_rows
 from .image import correlate, widen
 from .validation import check_image_u8, check_same_shape
 
@@ -85,18 +86,44 @@ def sobel_edges(img: np.ndarray) -> EdgeMap:
     Orientation is arctan(sy / sx) in (-pi/2, pi/2], with pi/2 wherever the
     horizontal derivative vanishes (including gradient-free pixels).
     """
+    arr = check_image_u8(img)
+    h, w = arr.shape
+    if h <= _strip_rows(w):
+        # One strip: the kernel allocates the maps after its temporaries, as
+        # the full-raster code did. Allocated first, they made a 256^2
+        # `run_pair` slower, through more page faults as the C heap grew.
+        return _sobel(arr, slice(None))
+    edges = EdgeMap(strength=np.empty(arr.shape), orientation=np.empty(arr.shape))
+    # Sobel reaches one row up and down, so row strips need a 1-row halo.
+    _run_strips(h, w, 1, lambda top, bottom, lo, hi, keep: _sobel(
+        arr[lo:hi], keep, _edge_rows(edges, top, bottom)))
+    return edges
+
+
+def _edge_rows(edges: EdgeMap, top: int, bottom: int) -> EdgeMap:
+    """Rows [top, bottom) of an edge map, as views."""
+    return EdgeMap(edges.strength[top:bottom], edges.orientation[top:bottom])
+
+
+def _sobel(rows_u8: np.ndarray, keep: slice, out: EdgeMap | None = None) -> EdgeMap:
+    """`sobel_edges` of the rows `keep` of a uint8 row strip, without the
+    checks, written into every element of `out` or into new arrays."""
     # A widened uint8 raster is finite, so no isfinite scan is needed here.
     # Its samples are integers, so every partial sum of the separable passes
     # is an exact float64 integer and equals the full 3x3 stencil bit for bit.
-    arr = widen(img)
-    sx = correlate(correlate(arr, SOBEL_SMOOTH), SOBEL_DIFF)
-    sy = correlate(correlate(arr, SOBEL_SMOOTH.T), SOBEL_DIFF.T)
-    strength = np.hypot(sx, sy)
+    arr = rows_u8.astype(np.float64)
+    sx = correlate(correlate(arr, SOBEL_SMOOTH), SOBEL_DIFF)[keep]
+    sy = correlate(correlate(arr, SOBEL_SMOOTH.T), SOBEL_DIFF.T)[keep]
+    strength = np.hypot(sx, sy, out=None if out is None else out.strength)
     nonzero = sx != 0.0
-    orientation = np.divide(sy, sx, out=np.zeros(arr.shape), where=nonzero)
-    np.arctan(orientation, out=orientation)
-    np.copyto(orientation, math.pi / 2, where=~nonzero)
-    return EdgeMap(strength=strength, orientation=orientation)
+    if out is None:
+        out = EdgeMap(strength=strength, orientation=np.zeros(sx.shape))
+    else:
+        out.orientation.fill(0.0)
+    np.divide(sy, sx, out=out.orientation, where=nonzero)
+    np.arctan(out.orientation, out=out.orientation)
+    np.copyto(out.orientation, math.pi / 2, where=~nonzero)
+    return out
 
 
 @dataclass
@@ -227,14 +254,28 @@ def qabf(a: np.ndarray, b: np.ndarray, f: np.ndarray,
     edges_a, edges_b, weight_a, weight_b, total = _source_terms(a, b, k.weight_exponent)
     if total == 0.0:
         return 0.0, True
-    edges_f = sobel_edges(f)
-    kept = _preservation(edges_a, edges_f, k)
-    kept *= weight_a
-    kept_b = _preservation(edges_b, edges_f, k)
-    kept_b *= weight_b
-    kept += kept_b
-    score = float(np.sum(kept) / total)
-    return score, False
+    # The fused raster's edges exist one row strip at a time. The per-pixel
+    # scores fill one full-size buffer that is summed at once: a sum per
+    # strip would add in another order and change the last bit. One strip
+    # scores into new arrays, for the reason given in `sobel_edges`.
+    def score_rows(top, bottom, lo, hi, keep, out=None):
+        edges_f = _sobel(f[lo:hi], keep)
+        kept = _preservation(_edge_rows(edges_a, top, bottom), edges_f, k)
+        kept *= weight_a[top:bottom]
+        kept_b = _preservation(_edge_rows(edges_b, top, bottom), edges_f, k)
+        kept_b *= weight_b[top:bottom]
+        if out is None:
+            kept += kept_b
+            return kept
+        np.add(kept, kept_b, out=out[top:bottom])
+
+    h, w = f.shape
+    if h <= _strip_rows(w):
+        kept = score_rows(0, h, 0, h, slice(None))
+    else:
+        kept = np.empty(f.shape)
+        _run_strips(h, w, 1, lambda *strip: score_rows(*strip, out=kept))
+    return float(np.sum(kept) / total), False
 
 
 @dataclass

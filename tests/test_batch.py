@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from momentfuse import metrics
+from momentfuse.fusion import PcaFuser
 from momentfuse.batch import (
     EmptyBatchError,
     PairSpec,
@@ -18,7 +19,7 @@ from momentfuse.batch import (
 from momentfuse.filters import preprocess
 from momentfuse.image import quantize
 from momentfuse.metrics import QabfConstants, evaluate, mutual_information
-from momentfuse.pgm import write_pgm
+from momentfuse.pgm import read_pgm, write_pgm
 from momentfuse.synthetic import random_texture, synthesize_pairs
 
 
@@ -129,21 +130,23 @@ def test_source_term_scope_unset_after_failure_mid_loop(sobel_calls):
     a, b = _source_pair("default")
     with pytest.raises(ValueError, match="source"):
         run_pair(a, b, source="bad")
-    # "average" was scored (both sources and its fused raster) before the
-    # moment fuser rejected the source.
-    assert len(sobel_calls) == 3
+    # "average" was scored (both sources; the fused raster's edges are
+    # computed per strip, not through `sobel_edges`) before the moment fuser
+    # rejected the source.
+    assert len(sobel_calls) == 2
     assert metrics._SOURCE_TERMS.get() is None
 
 
 def test_run_pair_computes_source_sobel_maps_once(sobel_calls):
     a, b = _source_pair("default")
     outcomes = run_pair(a, b)
-    # Two sources once, plus one fused raster per method (was 3 per method).
+    # Two sources once for all methods (was twice per method); the fused
+    # rasters' edges are computed per strip, not through `sobel_edges`.
     assert len(outcomes) == 3
-    assert len(sobel_calls) == 5
+    assert len(sobel_calls) == 2
     sobel_calls.clear()
     evaluate(a, b, outcomes[0].result.fused_u8)
-    assert len(sobel_calls) == 3
+    assert len(sobel_calls) == 2
 
 
 def test_run_batch_skips_bad_pairs(tmp_path):
@@ -181,6 +184,40 @@ def test_run_batch_missing_file_is_skipped(tmp_path):
     report = run_batch(pairs, methods=("average",))
     assert [row.pair_id for row in report.rows] == ["000"]
     assert report.skipped[0][0] == "gone"
+
+
+def fail_pca_on(monkeypatch, bad_a, exc):
+    """Make `PcaFuser.fuse` raise `exc` whenever its first source is `bad_a`."""
+    fuse = PcaFuser.fuse
+
+    def failing(self, a, b):
+        if np.array_equal(a, bad_a):
+            raise exc
+        return fuse(self, a, b)
+
+    monkeypatch.setattr(PcaFuser, "fuse", failing)
+
+
+def test_run_batch_skips_pair_whose_fuser_raises(tmp_path, monkeypatch):
+    write_pair_dir(tmp_path, n=3)
+    pairs, _ = discover_pairs(tmp_path)
+    expected = run_batch([pairs[0], pairs[2]])
+    fail_pca_on(monkeypatch, read_pgm(pairs[1].path_a), MemoryError("injected"))
+    report = run_batch(pairs)
+    # The failing pair leaves no row, not even for the methods that ran
+    # before its pca fuse; the other pairs' rows are those of a clean run.
+    assert report.skipped == [("001", "MemoryError: injected")]
+    assert repr(report.rows) == repr(expected.rows)
+    assert report.aggregates == expected.aggregates
+    assert metrics._SOURCE_TERMS.get() is None
+
+
+def test_run_batch_lets_keyboard_interrupt_through(tmp_path, monkeypatch):
+    write_pair_dir(tmp_path, n=3)
+    pairs, _ = discover_pairs(tmp_path)
+    fail_pca_on(monkeypatch, read_pgm(pairs[1].path_a), KeyboardInterrupt())
+    with pytest.raises(KeyboardInterrupt):
+        run_batch(pairs)
 
 
 def test_aggregates_equal_recomputed_means(tmp_path):

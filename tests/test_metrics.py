@@ -1,6 +1,8 @@
 """Metric identities, oracles, and the edge preservation score."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -8,6 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from momentfuse import fusion, image, metrics, validation
+from momentfuse.batch import run_pair
 from momentfuse.metrics import (
     EdgeMap,
     QabfConstants,
@@ -376,3 +380,80 @@ def test_evaluate_identical_nonconstant_triple():
     record = evaluate(img, img, img)
     assert record.mim_bits == pytest.approx(2.0 * entropy(img), abs=1e-9)
     assert not record.degenerate_qabf
+
+
+def stencil_edges(img):
+    """Edge map of the stencil oracle, with numpy's arctan and the pi/2 fill."""
+    sx, sy = naive_sobel(img)
+    ratio = sy / np.where(sx == 0, 1.0, sx)
+    return EdgeMap(strength=np.hypot(sx, sy),
+                   orientation=np.where(sx == 0, math.pi / 2, np.arctan(ratio)))
+
+
+def full_raster_qabf(a, b, f, k):
+    """`qabf` as it ran before row strips, on full-size edge maps of the
+    stencil oracle and full-size preservation maps."""
+    edges_a, edges_b, edges_f = (stencil_edges(img) for img in (a, b, f))
+    weight_a = edges_a.strength ** k.weight_exponent
+    weight_b = edges_b.strength ** k.weight_exponent
+    total = float(np.sum(weight_a) + np.sum(weight_b))
+    if total == 0.0:
+        return 0.0, True
+    kept = _preservation(edges_a, edges_f, k)
+    kept *= weight_a
+    kept_b = _preservation(edges_b, edges_f, k)
+    kept_b *= weight_b
+    kept += kept_b
+    return float(np.sum(kept) / total), False
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    images=st.tuples(st.integers(1, 40), st.integers(1, 12)).flatmap(
+        lambda shape: st.tuples(*[arrays(np.uint8, shape)] * 3)),
+    strip_pixels=st.sampled_from([1, 7, 64]),
+    workers=st.sampled_from([1, 3]),
+)
+def test_sobel_and_qabf_are_tiling_invariant(images, strip_pixels, workers):
+    a, b, f = images
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fusion, "_STRIP_PIXELS", strip_pixels)
+        mp.setattr(fusion, "_worker_count", lambda tasks: min(tasks, workers))
+        for k in (QabfConstants(), QabfConstants(weight_exponent=2.0)):
+            assert qabf(a, b, f, k) == full_raster_qabf(a, b, f, k)
+        edges = sobel_edges(f)
+    expected = stencil_edges(f)
+    assert np.array_equal(edges.strength, expected.strength)
+    assert np.array_equal(edges.orientation, expected.orientation)
+
+
+def test_run_pair_calls_traced_functions_on_the_calling_thread(monkeypatch):
+    # The benchmark's span tracer keeps one stack shared by all threads, so
+    # the functions it swaps must never run on a strip worker. The strips'
+    # private kernels do run on workers here, which shows the pool is used.
+    monkeypatch.setattr(fusion, "_STRIP_PIXELS", 64)
+    monkeypatch.setattr(fusion, "_worker_count", lambda tasks: min(tasks, 3))
+    threads = {}
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            threads.setdefault(name, set()).add(threading.get_ident())
+            return fn(*args, **kwargs)
+        return wrapper
+
+    spied = [(metrics.sobel_edges, "sobel_edges"), (validation.check_image_float, "check_float"),
+             (image.quantize, "quantize"), (metrics._sobel, "_sobel"),
+             (metrics._preservation, "_preservation")]
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] != "momentfuse":
+            continue
+        for attr, value in list(vars(module).items()):
+            for fn, name in spied:
+                if value is fn:
+                    monkeypatch.setattr(module, attr, spy(name, fn))
+    rng = np.random.default_rng(70)
+    a, b = rng.integers(0, 256, size=(2, 40, 16), dtype=np.uint8)
+    run_pair(a, b)
+    caller = {threading.get_ident()}
+    assert threads["sobel_edges"] == threads["check_float"] == threads["quantize"] == caller
+    assert threads["_sobel"] - caller and threads["_preservation"] - caller

@@ -5,6 +5,9 @@ import stat
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from momentfuse.pgm import PgmError, load_pgm, read_pgm, save_pgm, write_pgm
 
@@ -139,3 +142,59 @@ def test_write_pgm_replaces_whole_file_with_umask_mode(tmp_path):
     umask = os.umask(0)
     os.umask(umask)
     assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
+
+
+_rasters = st.tuples(st.integers(1, 20), st.integers(1, 20)).flatmap(
+    lambda shape: arrays(np.uint8, shape))
+
+
+def _edit(data, position, chunk, action):
+    """`data` kept, cut at, or with `chunk` inserted at or written over `position`."""
+    i = position % (len(data) + 1)
+    if action == "cut":
+        return data[:i]
+    if action == "insert":
+        return data[:i] + chunk + data[i:]
+    if action == "overwrite":
+        return data[:i] + chunk + data[i + len(chunk):]
+    return data
+
+
+# Valid P5 and P2 streams, some with one edit anywhere: header or raster.
+_edited = st.builds(_edit, st.builds(save_pgm, _rasters, st.booleans()),
+                    st.integers(0, 1 << 12), st.binary(min_size=1, max_size=3),
+                    st.sampled_from(["keep", "cut", "insert", "overwrite"]))
+# Header-shaped streams: a P5 or P2 magic, up to three fields that are mostly
+# small numbers, each after a separator, then an arbitrary or ASCII body.
+_fields = st.one_of(st.integers(-1, 6), st.sampled_from([0, 1, 254, 255, 256])).map(
+    lambda v: b"%d" % v) | st.binary(max_size=3)
+_separators = st.sampled_from([b" ", b"\n", b"\r\n", b"\t", b"\n#c\n", b""])
+_bodies = st.binary(max_size=48) | st.lists(
+    st.integers(0, 300).map(lambda v: b"%d" % v), max_size=40).map(b" ".join)
+_headed = st.builds(
+    lambda magic, fields, separators, body: magic + b"".join(
+        sep + field for sep, field in zip(separators, fields)) + body,
+    st.sampled_from([b"P5", b"P2"]), st.lists(_fields, max_size=3),
+    st.lists(_separators, min_size=3, max_size=3), _separators.flatmap(
+        lambda sep: _bodies.map(lambda body: sep + body)))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(data=st.binary(max_size=64) | _headed | _edited)
+@example(data=b"P5 2 1 255 \x01\x02")
+@example(data=b"P2 2 1 3 0 3")
+@example(data=b"P5 2 1 255\r\n\x01\x02")
+def test_decoder_yields_uint8_raster_or_pgm_error(data):
+    try:
+        img = load_pgm(data)
+    except PgmError:
+        return
+    assert isinstance(img, np.ndarray)
+    assert img.dtype == np.uint8 and img.ndim == 2 and img.size >= 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(img=_rasters, binary=st.booleans())
+def test_save_then_load_is_the_identity(img, binary):
+    decoded = load_pgm(save_pgm(img, binary=binary))
+    assert decoded.dtype == np.uint8 and np.array_equal(decoded, img)
