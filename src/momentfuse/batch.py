@@ -142,8 +142,12 @@ def run_batch(pairs: list[PairSpec], methods=FUSION_METHODS,
     reported under `skipped` with the error message; a pair whose fusion or
     evaluation raises is reported there as "<Type>: <message>" and leaves no
     row. KeyboardInterrupt still stops the run. Raises EmptyBatchError when
-    no pair at all produces a result.
+    no pair at all produces a result. An unknown method or a bad fuser
+    parameter would fail every pair alike, so it raises ValueError before
+    any pair is read.
     """
+    for method in sorted(set(methods)):
+        make_fuser(method, **fuser_params)._check_params()
     rows = []
     skipped = []
     for spec in pairs:

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .filters import DEFAULT_CENTER_WEIGHT, preprocess
+from .filters import DEFAULT_CENTER_WEIGHT, high_boost_mask, preprocess
 from .image import correlate, quantize, round_u8, widen
 from .validation import (
     check_image_float,
@@ -161,6 +161,9 @@ class Fuser:
     def fuse(self, a, b) -> FusionResult:
         raise NotImplementedError
 
+    def _check_params(self):
+        """Raise ValueError if a parameter is out of range; `fuse` does too."""
+
     def _check_pair(self, a, b):
         a = check_image_u8(a, "first source")
         b = check_image_u8(b, "second source")
@@ -194,11 +197,17 @@ class MomentFuser(Fuser):
     source: str = "filtered"
     center: float = DEFAULT_CENTER_WEIGHT
 
-    def fuse(self, a, b) -> FusionResult:
+    def _check_params(self) -> np.ndarray:
+        """Raise ValueError if a parameter is out of range; return the moment
+        window's weights."""
         if self.source not in ("filtered", "original"):
             raise ValueError(f"source must be 'filtered' or 'original', got {self.source!r}")
+        high_boost_mask(self.center)
+        return _moment_weights(self.p, self.q, self.window)
+
+    def fuse(self, a, b) -> FusionResult:
+        weights = self._check_params()
         a, b = self._check_pair(a, b)
-        weights = _moment_weights(self.p, self.q, self.window)
         h, w = a.shape
         result = FusionResult(
             fused_u8=np.empty((h, w), np.uint8),

@@ -30,8 +30,8 @@ def correlate(arr: np.ndarray, weights: np.ndarray) -> np.ndarray:
     out(r, c) = sum_{i,j} weights(i, j) * padded(r + i, c + j), where the
     raster is edge-padded by kh//2 rows and kw//2 columns. Cells are added in
     row-major order and zero weights are skipped, so the summation order,
-    and with it every output bit, is fixed by `weights` alone. Every stencil
-    in the package (mask, moment window, Sobel, blur) runs through here.
+    and with it every output bit, is fixed by `weights` alone. The mask, moment
+    window and blur run through here; Sobel has exact int16 passes of its own.
     `arr` must be a 2-D float64 raster; callers validate it.
     """
     kh, kw = weights.shape

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from momentfuse import metrics
+from momentfuse import batch, metrics
 from momentfuse.fusion import PcaFuser
 from momentfuse.batch import (
     EmptyBatchError,
@@ -184,6 +184,30 @@ def test_run_batch_missing_file_is_skipped(tmp_path):
     report = run_batch(pairs, methods=("average",))
     assert [row.pair_id for row in report.rows] == ["000"]
     assert report.skipped[0][0] == "gone"
+
+
+@pytest.mark.parametrize("methods, params, message", [
+    (("moment",), {"window": 4}, "window must be odd and >= 1, got 4"),
+    (("average",), {"window": 4}, None),  # a parameter no requested fuser takes
+    (("moment",), {"p": 9}, "moment orders must be in"),
+    (("moment",), {"source": "raw"}, "source must be 'filtered' or 'original'"),
+    (("moment",), {"center": float("nan")}, "must be finite"),
+    (("average", "dwt"), {}, "unknown fusion method 'dwt'"),
+])
+def test_run_batch_checks_methods_and_parameters_before_reading(tmp_path, monkeypatch,
+                                                                methods, params, message):
+    # A bad parameter fails every pair alike, so it must surface as the
+    # library's ValueError, not as a batch of skips and an EmptyBatchError.
+    write_pair_dir(tmp_path, n=2)
+    pairs, _ = discover_pairs(tmp_path)
+    reads = []
+    monkeypatch.setattr(batch, "read_pgm", lambda path: reads.append(path) or read_pgm(path))
+    if message is None:
+        assert len(run_batch(pairs, methods, **params).rows) == 2
+        return
+    with pytest.raises(ValueError, match=message):
+        run_batch(pairs, methods, **params)
+    assert reads == []
 
 
 def fail_pca_on(monkeypatch, bad_a, exc):

@@ -220,6 +220,22 @@ def test_batch_unknown_method(tmp_path):
                  "--report", str(tmp_path / "r.csv")]) == 1
 
 
+def test_batch_bad_fuser_parameter_exits_1_with_the_fuse_message(pair_files, tmp_path, capsys):
+    path_a, path_b, _, _ = pair_files
+    assert main(["fuse", "--in-a", str(path_a), "--in-b", str(path_b),
+                 "--out", str(tmp_path / "f.pgm"), "--window", "4"]) == 1
+    fuse_error = capsys.readouterr().err
+    assert "window must be odd and >= 1, got 4" in fuse_error
+    data_dir = tmp_path / "pairs"
+    main(["synth", "--out-dir", str(data_dir), "--pairs", "2", "--seed", "2"])
+    capsys.readouterr()
+    report = tmp_path / "r.csv"
+    assert main(["batch", "--dir", str(data_dir), "--report", str(report),
+                 "--window", "4"]) == 1
+    assert capsys.readouterr().err == fuse_error
+    assert not report.exists()
+
+
 def test_config_file_supplies_defaults_and_flags_win(pair_files, tmp_path):
     path_a, path_b, a, b = pair_files
     config = tmp_path / "fuse.conf"

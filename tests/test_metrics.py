@@ -224,16 +224,41 @@ def test_sobel_matches_hand_stencil_oracle():
 @given(img=st.tuples(st.integers(1, 9), st.integers(1, 9)).flatmap(
     lambda shape: arrays(np.uint8, shape)))
 @example(img=np.array([[0, 255], [255, 0]], dtype=np.uint8))
+# The int16 range edges: a 0|255 step gives sx or sy = +-1020.
+@example(img=np.repeat([[0, 0, 255, 255]], 4, axis=0).astype(np.uint8))
+@example(img=np.repeat([[255, 255, 0, 0]], 4, axis=0).astype(np.uint8))
+@example(img=np.repeat([[0], [0], [255], [255]], 4, axis=1).astype(np.uint8))
+@example(img=np.repeat([[255], [255], [0], [0]], 4, axis=1).astype(np.uint8))
+# A one-pixel side is padded from a single row or column.
+@example(img=np.array([[0, 255, 7, 255, 0]], dtype=np.uint8))
+@example(img=np.array([[0], [255], [7], [255], [0]], dtype=np.uint8))
 def test_sobel_equals_stencil_oracle_exactly(img):
-    # uint8 samples make every partial sum an exact float64 integer, so the
-    # separable passes must reproduce the 3x3 stencil bit for bit; arctan is
-    # numpy's on both sides, and pi/2 fills every pixel where sx == 0.
+    # uint8 samples make every partial sum an integer in [-1020, 1020], so
+    # the int16 passes must reproduce the 3x3 float stencil bit for bit;
+    # arctan is numpy's on both sides, and pi/2 fills every pixel where
+    # sx == 0.
     sx, sy = naive_sobel(img)
     edges = sobel_edges(img)
     assert np.array_equal(edges.strength, np.hypot(sx, sy))
     ratio = sy / np.where(sx == 0, 1.0, sx)
     expected_orientation = np.where(sx == 0, math.pi / 2, np.arctan(ratio))
     assert np.array_equal(edges.orientation, expected_orientation)
+
+
+@settings(max_examples=200, deadline=None)
+@given(img=st.tuples(st.integers(1, 12), st.integers(1, 9)).flatmap(
+    lambda shape: arrays(np.uint8, shape)), data=st.data())
+def test_sobel_of_a_strip_with_halo_equals_the_full_raster_rows(img, data):
+    # A strip's rows r in [top, bottom) read rows [top - 1, bottom + 1)
+    # clipped to the image; `keep` slices its own rows out of them.
+    h = img.shape[0]
+    top = data.draw(st.integers(0, h - 1))
+    bottom = data.draw(st.integers(top + 1, h))
+    lo, hi = max(0, top - 1), min(h, bottom + 1)
+    strip = metrics._sobel(img[lo:hi], slice(top - lo, bottom - lo))
+    full = sobel_edges(img)
+    assert np.array_equal(strip.strength, full.strength[top:bottom])
+    assert np.array_equal(strip.orientation, full.orientation[top:bottom])
 
 
 def test_sobel_orientation_range():
