@@ -258,7 +258,7 @@ def cmd_batch(args) -> int:
         print(f"skipped {pair_id}: {reason}", file=sys.stderr)
     write_atomically(report_path, emit_report(report, fmt))
     n_pairs = len({row.pair_id for row in report.rows})
-    print(f"wrote {report_path} ({n_pairs} pairs x {len(methods)} methods, format={fmt})")
+    print(f"wrote {report_path} ({n_pairs} pairs x {len(set(methods))} methods, format={fmt})")
     return 0
 
 

@@ -92,28 +92,38 @@ def _worker_count(tasks: int) -> int:
     return min(tasks, cpus)
 
 
-def _strip_rows(width: int) -> int:
-    """Rows per strip of `_run_strips` on a raster `width` pixels wide."""
-    return max(1, _STRIP_PIXELS // width)
-
-
-def _run_strips(height: int, width: int, halo: int, fn) -> None:
-    """Call fn(top, bottom, lo, hi, keep) once per row strip of a raster.
+def _run_strips(height: int, width: int, halo: int, fn, dtypes) -> tuple:
+    """Call fn(top, bottom, lo, hi, keep) once per row strip of a raster and
+    return the outputs full-size, one array per entry of `dtypes`.
 
     A strip makes output rows [top, bottom) from input rows [lo, hi): its
     rows plus `halo` rows on each side, clipped at the image edge, with
     `keep` slicing its own rows out of them. Clipping reproduces replicate
     padding, so a stencil whose vertical reach is at most `halo` gives the
-    same bits strip by strip as on the full raster. Strips hold about
-    `_STRIP_PIXELS` pixels and run on one thread per CPU, or inline when
-    there is one strip or one CPU. `fn` must write only its own rows.
-    """
-    rows = _strip_rows(width)
+    same bits strip by strip as on the full raster. `fn` returns its rows of
+    each output and writes into nothing shared.
 
-    def run(top):
+    A raster that fits one strip gets `fn`'s own arrays, allocated after the
+    kernel's temporaries: allocated first, they made a 256^2 `run_pair`
+    slower, through more page faults as the C heap grew. Otherwise the
+    outputs are allocated before any strip runs, strips of about
+    `_STRIP_PIXELS` pixels run on one thread per CPU (inline on one CPU),
+    and each copies its rows in.
+    """
+    rows = max(1, _STRIP_PIXELS // width)
+
+    def strip(top):
         bottom = min(top + rows, height)
         lo, hi = max(0, top - halo), min(height, bottom + halo)
-        fn(top, bottom, lo, hi, slice(top - lo, bottom - lo))
+        return fn(top, bottom, lo, hi, slice(top - lo, bottom - lo))
+
+    if height <= rows:
+        return tuple(strip(0))
+    outputs = tuple(np.empty((height, width), dtype) for dtype in dtypes)
+
+    def run(top):
+        for out, block in zip(outputs, strip(top), strict=True):
+            out[top:top + rows] = block
 
     tops = range(0, height, rows)
     workers = _worker_count(len(tops))
@@ -124,6 +134,7 @@ def _run_strips(height: int, width: int, halo: int, fn) -> None:
         # A pool per call: a process forked later inherits no idle threads.
         with ThreadPoolExecutor(workers) as pool:
             list(pool.map(run, tops))  # re-raises a strip's exception
+    return outputs
 
 
 def decision_map(moments_a: np.ndarray, moments_b: np.ndarray) -> np.ndarray:
@@ -208,38 +219,30 @@ class MomentFuser(Fuser):
     def fuse(self, a, b) -> FusionResult:
         weights = self._check_params()
         a, b = self._check_pair(a, b)
-        h, w = a.shape
-        result = FusionResult(
-            fused_u8=np.empty((h, w), np.uint8),
-            fused_f=np.empty((h, w)),
-            method="moment",
-            decision=np.empty((h, w), bool),
-            moments_a=np.empty((h, w)),
-            moments_b=np.empty((h, w)),
-        )
 
         # The strips' rasters derive from the checked pair, so they are
         # finite and skip the public stages' checks.
         def fuse_strip(top, bottom, lo, hi, keep):
             fa = preprocess(a[lo:hi], self.center)
             fb = preprocess(b[lo:hi], self.center)
-            ma = result.moments_a[top:bottom]
-            mb = result.moments_b[top:bottom]
-            ma[:] = _moment(fa, weights, self.magnitude)[keep]
-            mb[:] = _moment(fb, weights, self.magnitude)[keep]
-            select_a = np.greater_equal(ma, mb, out=result.decision[top:bottom])
+            ma = _moment(fa, weights, self.magnitude)[keep]
+            mb = _moment(fb, weights, self.magnitude)[keep]
+            select_a = ma >= mb
             if self.source == "filtered":
                 fused_f = np.where(select_a, fa[keep], fb[keep])
-                result.fused_u8[top:bottom] = round_u8(fused_f)
+                fused_u8 = round_u8(fused_f)
             else:  # a widened uint8 sample rounds back to itself
-                fused_f = np.where(select_a, a[top:bottom], b[top:bottom])
-                result.fused_u8[top:bottom] = fused_f
-            result.fused_f[top:bottom] = fused_f
+                fused_u8 = np.where(select_a, a[top:bottom], b[top:bottom])
+                fused_f = fused_u8.astype(np.float64)
+            return fused_u8, fused_f, select_a, ma, mb
 
         # Output row r depends on source rows r +- halo: the mask reaches one
         # row, the moment window half its side.
-        _run_strips(h, w, 1 + len(weights) // 2, fuse_strip)
-        return result
+        fused_u8, fused_f, decision, ma, mb = _run_strips(
+            *a.shape, 1 + len(weights) // 2, fuse_strip,
+            (np.uint8, np.float64, bool, np.float64, np.float64))
+        return FusionResult(fused_u8=fused_u8, fused_f=fused_f, method="moment",
+                            decision=decision, moments_a=ma, moments_b=mb)
 
 
 @dataclass(eq=False)

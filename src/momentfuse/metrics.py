@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fusion import _run_strips, _strip_rows
+from .fusion import _run_strips
 from .image import widen
 from .validation import check_image_u8, check_same_shape
 
@@ -82,17 +82,13 @@ def sobel_edges(img: np.ndarray) -> EdgeMap:
     horizontal derivative vanishes (including gradient-free pixels).
     """
     arr = check_image_u8(img)
-    h, w = arr.shape
-    if h <= _strip_rows(w):
-        # One strip: the kernel allocates the maps after its temporaries, as
-        # the full-raster code did. Allocated first, they made a 256^2
-        # `run_pair` slower, through more page faults as the C heap grew.
-        return _sobel(arr, slice(None))
-    edges = EdgeMap(strength=np.empty(arr.shape), orientation=np.empty(arr.shape))
+
+    def strip_edges(top, bottom, lo, hi, keep):
+        edges = _sobel(arr[lo:hi], keep)
+        return edges.strength, edges.orientation
+
     # Sobel reaches one row up and down, so row strips need a 1-row halo.
-    _run_strips(h, w, 1, lambda top, bottom, lo, hi, keep: _sobel(
-        arr[lo:hi], keep, _edge_rows(edges, top, bottom)))
-    return edges
+    return EdgeMap(*_run_strips(*arr.shape, 1, strip_edges, (np.float64, np.float64)))
 
 
 def _edge_rows(edges: EdgeMap, top: int, bottom: int) -> EdgeMap:
@@ -100,25 +96,21 @@ def _edge_rows(edges: EdgeMap, top: int, bottom: int) -> EdgeMap:
     return EdgeMap(edges.strength[top:bottom], edges.orientation[top:bottom])
 
 
-def _sobel(rows_u8: np.ndarray, keep: slice, out: EdgeMap | None = None) -> EdgeMap:
-    """`sobel_edges` of the rows `keep` of a uint8 row strip, without the
-    checks, written into every element of `out` or into new arrays."""
+def _sobel(rows_u8: np.ndarray, keep: slice) -> EdgeMap:
+    """`sobel_edges` of the rows `keep` of a uint8 row strip, without the checks."""
     # On uint8 samples every partial sum is an integer in [-1020, 1020], so the
     # int16 derivatives equal the 3x3 float stencil bit for bit.
     start, stop, _ = keep.indices(len(rows_u8))
     padded = np.pad(rows_u8, 1, mode="edge")[start:stop + 2].astype(np.int16)
     sx = _sobel_x(padded)
     sy = _sobel_x(padded.T).T  # the y kernel is the x kernel transposed
-    strength = np.hypot(sx, sy, out=None if out is None else out.strength)
+    strength = np.hypot(sx, sy)
     nonzero = sx != 0.0
-    if out is None:
-        out = EdgeMap(strength=strength, orientation=np.zeros(sx.shape))
-    else:
-        out.orientation.fill(0.0)
-    np.divide(sy, sx, out=out.orientation, where=nonzero)
-    np.arctan(out.orientation, out=out.orientation)
-    np.copyto(out.orientation, math.pi / 2, where=~nonzero)
-    return out
+    orientation = np.zeros(sx.shape)
+    np.divide(sy, sx, out=orientation, where=nonzero)
+    np.arctan(orientation, out=orientation)
+    np.copyto(orientation, math.pi / 2, where=~nonzero)
+    return EdgeMap(strength=strength, orientation=orientation)
 
 
 def _sobel_x(padded: np.ndarray) -> np.ndarray:
@@ -257,26 +249,18 @@ def qabf(a: np.ndarray, b: np.ndarray, f: np.ndarray,
     if total == 0.0:
         return 0.0, True
     # The fused raster's edges exist one row strip at a time. The per-pixel
-    # scores fill one full-size buffer that is summed at once: a sum per
-    # strip would add in another order and change the last bit. One strip
-    # scores into new arrays, for the reason given in `sobel_edges`.
-    def score_rows(top, bottom, lo, hi, keep, out=None):
+    # scores are stitched into one full-size buffer that is summed at once: a
+    # sum per strip would add in another order and change the last bit.
+    def score_rows(top, bottom, lo, hi, keep):
         edges_f = _sobel(f[lo:hi], keep)
         kept = _preservation(_edge_rows(edges_a, top, bottom), edges_f, k)
         kept *= weight_a[top:bottom]
         kept_b = _preservation(_edge_rows(edges_b, top, bottom), edges_f, k)
         kept_b *= weight_b[top:bottom]
-        if out is None:
-            kept += kept_b
-            return kept
-        np.add(kept, kept_b, out=out[top:bottom])
+        kept += kept_b
+        return (kept,)
 
-    h, w = f.shape
-    if h <= _strip_rows(w):
-        kept = score_rows(0, h, 0, h, slice(None))
-    else:
-        kept = np.empty(f.shape)
-        _run_strips(h, w, 1, lambda *strip: score_rows(*strip, out=kept))
+    kept, = _run_strips(*f.shape, 1, score_rows, (np.float64,))
     return float(np.sum(kept) / total), False
 
 

@@ -109,12 +109,14 @@ def synthesize_pairs(n_pairs: int, sigma: float, seed: int,
     if base is not None:
         base = check_image_u8(base, "base image")
         height, width = base.shape
+    if width < 2:
+        raise ValueError(f"width must be >= 2 to hold a seam, got {width}")
     rng = np.random.default_rng(seed)
     digits = max(3, len(str(n_pairs - 1)))
     out = []
     for index in range(n_pairs):
         img = base if base is not None else random_texture(height, width, rng)
         # Seams stay in the middle half so both sides keep real content.
-        seam = int(rng.integers(width // 4, width - width // 4))
+        seam = int(rng.integers(max(1, width // 4), width - width // 4))
         out.append((f"{index:0{digits}d}", complementary_blur_pair(img, seam, sigma)))
     return out

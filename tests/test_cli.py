@@ -123,6 +123,20 @@ def test_synth_then_batch_csv(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_batch_summary_counts_distinct_methods(tmp_path, capsys):
+    base = tmp_path / "base.pgm"
+    write_pgm(base, random_texture(16, 16, np.random.default_rng(3)))
+    data_dir = tmp_path / "pairs"
+    assert main(["synth", "--base", str(base), "--out-dir", str(data_dir),
+                 "--pairs", "2", "--seed", "3"]) == 0
+    report = tmp_path / "report.json"
+    capsys.readouterr()
+    assert main(["batch", "--dir", str(data_dir), "--methods", "moment,moment,average",
+                 "--report", str(report), "--format", "json"]) == 0
+    assert "(2 pairs x 2 methods, format=json)" in capsys.readouterr().out
+    assert {row["method"] for row in json.loads(report.read_text())["rows"]} == {"moment", "average"}
+
+
 def test_synth_with_base_image(tmp_path):
     rng = np.random.default_rng(23)
     base = tmp_path / "base.pgm"

@@ -336,8 +336,8 @@ def test_fuse_is_tiling_invariant(data, strip_pixels, window, orders, magnitude,
 
 @pytest.mark.parametrize("workers", [1, 8])
 def test_fuse_matches_staged_on_any_worker_count(monkeypatch, workers):
-    # Strips share the output arrays; with more threads than cores and a
-    # short switch interval, a strip writing outside its rows would show.
+    # Strips copy their rows into shared outputs; with more threads than
+    # cores and a short switch interval, a copy outside its rows would show.
     rng = np.random.default_rng(17)
     a, b = rng.integers(0, 256, size=(2, 97, 13), dtype=np.uint8)
     monkeypatch.setattr(fusion, "_STRIP_PIXELS", 50)
@@ -371,6 +371,66 @@ def test_fuse_validates_once_at_its_boundary(monkeypatch, source):
     result = fuser.fuse(a, b)
     assert float_checks == [] and builds == [(1, 1, 5)]
     assert_same_outputs(result, staged_fuse(fuser, a, b))
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_run_strips_gives_one_strip_its_own_arrays(monkeypatch, workers):
+    monkeypatch.setattr(fusion, "_STRIP_PIXELS", 64)
+    monkeypatch.setattr(fusion, "_worker_count", lambda tasks: min(tasks, workers))
+    made = []
+
+    def fn(top, bottom, lo, hi, keep):
+        assert (top, bottom, lo, hi, keep) == (0, 8, 0, 8, slice(0, 8))
+        made.append((np.ones((8, 8), bool), np.arange(64.0).reshape(8, 8)))
+        return made[-1]
+
+    outputs = fusion._run_strips(8, 8, 1, fn, (bool, np.float64))
+    assert len(made) == 1 and len(outputs) == 2
+    assert all(out is block for out, block in zip(outputs, made[0]))
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_run_strips_stitches_every_row_from_one_strip(monkeypatch, workers):
+    monkeypatch.setattr(fusion, "_STRIP_PIXELS", 40)  # 8 strips of 5 rows, the last of 2
+    monkeypatch.setattr(fusion, "_worker_count", lambda tasks: min(tasks, workers))
+    height, width, halo = 37, 8, 2
+    strips = []
+
+    def fn(top, bottom, lo, hi, keep):
+        assert (lo, hi) == (max(0, top - halo), min(height, bottom + halo))
+        assert list(range(lo, hi))[keep] == list(range(top, bottom))
+        strips.append((top, bottom))
+        rows = np.arange(top, bottom)[:, None].repeat(width, axis=1)
+        return rows % 2 == 0, np.full(rows.shape, top, np.uint8), rows * 1.5
+
+    threads = threading.active_count()
+    even, tops, scaled = fusion._run_strips(height, width, halo, fn,
+                                            (bool, np.uint8, np.float64))
+    assert threading.active_count() == threads
+    assert sorted(strips) == [(top, min(top + 5, height)) for top in range(0, height, 5)]
+    rows = np.arange(height)[:, None].repeat(width, axis=1)
+    for out, dtype in zip((even, tops, scaled), (bool, np.uint8, np.float64)):
+        assert out.shape == (height, width) and out.dtype == dtype
+        assert out.flags.c_contiguous
+    assert np.array_equal(even, rows % 2 == 0)
+    assert np.array_equal(tops, rows - rows % 5)  # row r from the strip at top 5 * (r // 5)
+    assert np.array_equal(scaled, rows * 1.5)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_run_strips_propagates_a_strip_exception(monkeypatch, workers):
+    monkeypatch.setattr(fusion, "_STRIP_PIXELS", 40)
+    monkeypatch.setattr(fusion, "_worker_count", lambda tasks: min(tasks, workers))
+
+    def fn(top, bottom, lo, hi, keep):
+        if top == 15:
+            raise RuntimeError("strip at row 15 failed")
+        return (np.zeros((bottom - top, 8)),)
+
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="strip at row 15 failed"):
+        fusion._run_strips(37, 8, 1, fn, (np.float64,))
+    assert threading.active_count() == threads
 
 
 def test_worker_count_follows_cpu_affinity(monkeypatch):

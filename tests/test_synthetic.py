@@ -105,6 +105,24 @@ def test_synthesize_pairs_with_fixed_base():
         assert 10 <= pair.seam <= 30  # middle half of the width
 
 
+@pytest.mark.parametrize("width", [2, 3])
+def test_synthesize_pairs_on_narrow_rasters(width):
+    # The middle half of a raster 2 or 3 wide starts at column 0, which is
+    # no seam; seams are drawn from column 1 up instead.
+    for seed in range(20):
+        for _, pair in synthesize_pairs(3, 1.0, seed, height=8, width=width):
+            assert 1 <= pair.seam < width
+            assert pair.a.shape == (8, width)
+
+
+@pytest.mark.parametrize("width, shape", [
+    (0, {"width": 0}), (1, {"width": 1}), (1, {"base": np.zeros((8, 1), np.uint8)}),
+])
+def test_synthesize_pairs_rejects_rasters_without_a_seam(width, shape):
+    with pytest.raises(ValueError, match=f"width must be >= 2 to hold a seam, got {width}$"):
+        synthesize_pairs(1, 1.0, seed=0, height=8, **shape)
+
+
 def test_synthesize_pairs_rejects_empty_request():
     with pytest.raises(ValueError):
         synthesize_pairs(0, 1.0, seed=1)
