@@ -6,6 +6,7 @@ config file (--config); explicit command-line flags win on conflict.
 """
 
 import argparse
+import ctypes
 import json
 import os
 import sys
@@ -280,7 +281,36 @@ def cmd_synth(args) -> int:
     return 0
 
 
+# glibc mallopt parameters, and the values the CLI sets them to.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_TRIM_THRESHOLD = 256 << 20
+_MMAP_THRESHOLD = 32 << 20  # the documented maximum on 64-bit; older glibc rejects more
+
+
+def _keep_heap():
+    """Keep freed C heap memory in this process between rasters.
+
+    By default glibc hands the top of the heap back after each large free
+    and regrows it on the next allocation, so every raster-sized array of a
+    small pair costs fresh zero-filled pages. Both thresholds must move: a
+    raised trim threshold alone sends those arrays to mmap, which faults
+    more. The CLI owns its process, so it sets this; the library does not.
+    Without glibc's mallopt it does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    # mallopt returns 1 on success. The mmap threshold goes first, so a
+    # failure never leaves the trim threshold raised on its own.
+    if mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD) == 1:
+        mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
 def main(argv=None) -> int:
+    _keep_heap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

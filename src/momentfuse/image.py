@@ -40,10 +40,20 @@ def correlate(arr: np.ndarray, weights: np.ndarray) -> np.ndarray:
     # Filled eagerly: np.zeros would hand back lazily zeroed pages whose
     # faults land in the first add, ~10% of a 256^2 blur on a 2-core Xeon.
     acc = np.full((h, w), 0.0)
+    term = None  # one product buffer, reused by every other weight
     for i in range(kh):
         for j in range(kw):
-            if weights[i, j] != 0.0:
-                acc += weights[i, j] * padded[i:i + h, j:j + w]
+            weight = weights[i, j]
+            cell = padded[i:i + h, j:j + w]
+            # 1 * x == x and a + (-x) == a - x exactly, so the +-1 cells skip
+            # their multiply without changing a bit.
+            if weight == 1.0:
+                acc += cell
+            elif weight == -1.0:
+                acc -= cell
+            elif weight != 0.0:
+                term = np.multiply(weight, cell, out=term)
+                acc += term
     return acc
 
 

@@ -104,13 +104,19 @@ def _sobel(rows_u8: np.ndarray, keep: slice) -> EdgeMap:
     padded = np.pad(rows_u8, 1, mode="edge")[start:stop + 2].astype(np.int16)
     sx = _sobel_x(padded)
     sy = _sobel_x(padded.T).T  # the y kernel is the x kernel transposed
-    strength = np.hypot(sx, sy)
-    nonzero = sx != 0.0
-    orientation = np.zeros(sx.shape)
-    np.divide(sy, sx, out=orientation, where=nonzero)
-    np.arctan(orientation, out=orientation)
-    np.copyto(orientation, math.pi / 2, where=~nonzero)
-    return EdgeMap(strength=strength, orientation=orientation)
+    return EdgeMap(strength=np.hypot(sx, sy), orientation=_orientation(sx, sy))
+
+
+def _orientation(sx: np.ndarray, sy: np.ndarray) -> np.ndarray:
+    """arctan(sy / sx), and pi/2 wherever sx == 0, of float64 derivatives.
+
+    Where sx == 0 the ratio is 1 / 0 = +inf, whose arctan is exactly pi/2,
+    so no masked pass is needed. The derivatives come from integers, so sx
+    is never -0.0.
+    """
+    with np.errstate(divide="ignore"):
+        ratio = np.divide(np.where(sx != 0.0, sy, 1.0), sx)
+    return np.arctan(ratio, out=ratio)
 
 
 def _sobel_x(padded: np.ndarray) -> np.ndarray:
@@ -173,8 +179,10 @@ def _preservation(src: EdgeMap, fused: EdgeMap, k: QabfConstants) -> np.ndarray:
     gs, gf = src.strength, fused.strength
     qg = np.minimum(gs, gf)
     gmax = np.maximum(gs, gf)
-    # Strengths are >= 0, so where gmax == 0 the minimum already holds g_rel = 0.
-    np.divide(qg, gmax, out=qg, where=gmax > 0.0)
+    # 0 / 0 leaves NaN where gmax == 0. Strengths are >= 0, so gs == 0 there
+    # too, and the final copyto zeroes those pixels.
+    with np.errstate(invalid="ignore"):
+        np.divide(qg, gmax, out=qg)
     _sigmoid_in_place(qg, k.gamma_g, k.kappa_g, k.sigma_g)
 
     qa = np.subtract(src.orientation, fused.orientation, out=gmax)

@@ -45,8 +45,8 @@ def load_pgm(data: bytes) -> np.ndarray:
 
     Raises PgmError with a distinct message for: unsupported magic number,
     zero dimensions, maxval out of range, a P5 maxval not followed by one
-    whitespace byte, samples above maxval, truncated sample data, and bytes
-    left over after a P5 raster.
+    whitespace byte, samples above maxval, truncated sample data, and data
+    left over after the raster (for P2, anything but whitespace and comments).
     """
     toks = _tokens(data)
 
@@ -97,8 +97,9 @@ def load_pgm(data: bytes) -> np.ndarray:
     else:
         values = []
         for tok, _ in toks:
+            # Only whitespace and comments may follow the last sample.
             if len(values) == count:
-                break
+                raise PgmError(f"trailing data: expected {count} ASCII samples, got more: {tok!r}")
             try:
                 v = int(tok)
             except ValueError:

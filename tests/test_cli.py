@@ -1,11 +1,16 @@
 """End-to-end CLI tests: subcommands, exit codes, and config files."""
 
+import ctypes
 import json
 import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import momentfuse
 from momentfuse import cli
 from momentfuse.cli import main
 from momentfuse.filters import preprocess
@@ -283,3 +288,46 @@ def test_config_unknown_key_is_usage_error(pair_files, tmp_path):
 def test_help_exits_zero():
     assert main(["--help"]) == 0
     assert main(["fuse", "--help"]) == 0
+
+
+# Allocates and frees 200 arrays of 512 KiB, two alive at a time, after an
+# optional CLI run, and prints the minor page faults the loop took.
+_FAULT_SCRIPT = textwrap.dedent("""
+    import resource, sys, tempfile
+    import numpy as np
+    from momentfuse import cli
+    if sys.argv[1] == "main":
+        with tempfile.TemporaryDirectory() as out_dir:
+            assert cli.main(["synth", "--out-dir", out_dir, "--pairs", "1"]) == 0
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(100):
+        live = [np.ones(1 << 16), np.ones(1 << 16)]
+        del live
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+""")
+
+
+def _loop_faults(mode):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(momentfuse.__file__)))
+    done = subprocess.run([sys.executable, "-c", _FAULT_SCRIPT, mode], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    return int(done.stdout.split()[-1])
+
+
+@pytest.mark.skipif(getattr(ctypes.CDLL(None), "mallopt", None) is None,
+                    reason="needs glibc's mallopt")
+def test_main_keeps_the_heap_between_arrays():
+    # By default glibc trims the heap after the pair is freed and faults in
+    # fresh pages for the next; after `main` the freed pages are reused.
+    with_main, without = _loop_faults("main"), _loop_faults("none")
+    assert with_main * 10 < without, (with_main, without)
+
+
+@pytest.mark.parametrize("fault", [OSError("no libc"), AttributeError("mallopt")])
+def test_main_runs_without_mallopt(tmp_path, monkeypatch, fault):
+    def no_libc(*args, **kwargs):
+        raise fault
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", no_libc)
+    assert main(["synth", "--out-dir", str(tmp_path), "--pairs", "1"]) == 0
+    assert sorted(os.listdir(tmp_path)) == ["000_a.pgm", "000_b.pgm"]

@@ -1,8 +1,10 @@
 """Property tests of the shared stencil primitive against an index-clamping
-oracle.
+oracle and a summation-order oracle.
 
-Rasters and weights hold small integers, so every partial sum is an exact
-float64 integer and the comparison can be exact in any summation order.
+In the clamping tests rasters and weights hold small integers, so every
+partial sum is an exact float64 integer and the comparison can be exact in
+any summation order. The order test uses non-integer data, where only the
+documented order gives the same bits.
 """
 
 import numpy as np
@@ -57,3 +59,36 @@ def test_column_then_row_pass_equals_outer_product_kernel(img, data):
     taps = data.draw(arrays(np.float64, side, elements=st.integers(-9, 9).map(float)))
     assert np.array_equal(correlate(correlate(img, taps[:, None]), taps[None, :]),
                           correlate(img, np.outer(taps, taps)))
+
+
+def row_major_correlate(img, weights):
+    """The documented order: over the weight cells in row-major order,
+    skipping zeros, acc = acc + w * (the padded raster shifted by the cell)."""
+    h, w = img.shape
+    kh, kw = weights.shape
+    padded = np.pad(img, ((kh // 2, kh // 2), (kw // 2, kw // 2)), mode="edge")
+    acc = np.zeros((h, w))
+    for i in range(kh):
+        for j in range(kw):
+            if weights[i, j] != 0.0:
+                acc = acc + weights[i, j] * padded[i:i + h, j:j + w]
+    return acc
+
+
+real_rasters = st.tuples(st.integers(1, 9), st.integers(1, 9)).flatmap(
+    lambda shape: arrays(np.float64, shape,
+                         elements=st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)))
+mixed_weights = st.tuples(odd_sides, odd_sides).flatmap(
+    lambda shape: arrays(np.float64, shape, elements=st.one_of(
+        st.sampled_from([0.0, 1.0, -1.0]),
+        st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(img=real_rasters, weights=mixed_weights)
+@example(img=np.array([[0.1, -0.7], [1e6, 3.3]]),
+         weights=np.array([[1.0, -1.0, 0.3], [0.0, -1.0, 1.0], [-2.5, 1.0, 0.0]]))
+def test_matches_row_major_order_bit_for_bit(img, weights):
+    # Non-integer sums round differently in another order, so this pins the
+    # order itself, and that the +-1 cells add or subtract the cell exactly.
+    assert np.array_equal(correlate(img, weights), row_major_correlate(img, weights))

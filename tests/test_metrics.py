@@ -261,6 +261,18 @@ def test_sobel_of_a_strip_with_halo_equals_the_full_raster_rows(img, data):
     assert np.array_equal(strip.orientation, full.orientation[top:bottom])
 
 
+def test_orientation_equals_masked_form_on_every_derivative_pair():
+    # Sobel derivatives of uint8 rasters are the integers in [-1020, 1020].
+    # On every pair of them the unmasked ratio, +inf where sx == 0, must give
+    # the masked expression's bits, so arctan(+inf) must be exactly pi/2.
+    values = np.arange(-1020.0, 1021.0)
+    sy = values[None, :]
+    for block in np.array_split(values, 8):
+        sx = block[:, None]
+        expected = np.where(sx == 0, math.pi / 2, np.arctan(sy / np.where(sx == 0, 1.0, sx)))
+        assert np.array_equal(metrics._orientation(sx, sy), expected)
+
+
 def test_sobel_orientation_range():
     rng = np.random.default_rng(43)
     img = rng.integers(0, 256, size=(16, 16), dtype=np.uint8)

@@ -64,6 +64,16 @@ def test_reject_p5_bytes_after_raster():
         load_pgm(b"P5\n2 1\n255\n\x01\x02\n")
 
 
+def test_reject_p2_samples_after_raster():
+    # Only whitespace and comments may follow the last ASCII sample; extra
+    # samples or junk must not be dropped silently.
+    for data in (b"P2\n2 2\n255\n1 2 3 4 5 6\n", b"P2\n2 1\n255\n1 2 junk\n",
+                 b"P2\n2 1\n255\n1 2 # end\n3\n"):
+        with pytest.raises(PgmError, match="trailing"):
+            load_pgm(data)
+    assert np.array_equal(load_pgm(b"P2\n2 1\n255\n1 2 \n# end\n\t\n"), [[1, 2]])
+
+
 def test_reject_p6_magic():
     with pytest.raises(PgmError, match="magic"):
         load_pgm(b"P6\n1 1\n255\n" + bytes([1, 2, 3]))
