@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .filters import DEFAULT_CENTER_WEIGHT, high_boost_mask, preprocess
-from .image import correlate, quantize, round_u8, widen
+from .image import correlate, joint_counts, round_u8
 from .validation import (
     check_image_float,
     check_image_u8,
@@ -175,7 +175,8 @@ class Fuser:
     def _check_params(self):
         """Raise ValueError if a parameter is out of range; `fuse` does too."""
 
-    def _check_pair(self, a, b):
+    @staticmethod
+    def _check_pair(a, b):
         a = check_image_u8(a, "first source")
         b = check_image_u8(b, "second source")
         check_same_shape(a, b, "first source", "second source")
@@ -245,14 +246,33 @@ class MomentFuser(Fuser):
                             decision=decision, moments_a=ma, moments_b=mb)
 
 
+def _blend(a: np.ndarray, b: np.ndarray, wa: float, wb: float) -> tuple:
+    """(fused_u8, fused_f) of the blend wa * a + wb * b of a checked uint8
+    pair, one row strip at a time."""
+    def blend_strip(top, bottom, lo, hi, keep):
+        # uint8 samples widen exactly, so these are the bits of the
+        # full-raster expression wa * widen(a) + wb * widen(b).
+        fused_f = a[top:bottom].astype(np.float64)
+        fused_f *= wa
+        term = b[top:bottom].astype(np.float64)
+        term *= wb
+        fused_f += term
+        return round_u8(fused_f), fused_f
+
+    # Each output pixel depends on its own source pixels only: no halo.
+    return _run_strips(*a.shape, 0, blend_strip, (np.uint8, np.float64))
+
+
 @dataclass(eq=False)
 class AverageFuser(Fuser):
     """Pixel-by-pixel mean of the two sources; the simplest baseline."""
 
     def fuse(self, a, b) -> FusionResult:
         a, b = self._check_pair(a, b)
-        fused_f = (widen(a) + widen(b)) / 2.0
-        return FusionResult(fused_u8=quantize(fused_f), fused_f=fused_f, method="average")
+        # (x + y) / 2 and 0.5 * x + 0.5 * y are equal to the bit: halving is
+        # exact and the sum of two 8-bit samples is exact in float64.
+        fused_u8, fused_f = _blend(a, b, 0.5, 0.5)
+        return FusionResult(fused_u8=fused_u8, fused_f=fused_f, method="average")
 
 
 @dataclass(eq=False)
@@ -263,9 +283,9 @@ class PcaFuser(Fuser):
     def fuse(self, a, b) -> FusionResult:
         a, b = self._check_pair(a, b)
         wa, wb, degenerate = pca_weights(a, b)
-        fused_f = wa * widen(a) + wb * widen(b)
+        fused_u8, fused_f = _blend(a, b, wa, wb)
         return FusionResult(
-            fused_u8=quantize(fused_f),
+            fused_u8=fused_u8,
             fused_f=fused_f,
             method="pca",
             weights=(wa, wb),
@@ -277,16 +297,17 @@ def pca_weights(a: np.ndarray, b: np.ndarray):
     """Blend weights (wa, wb) from the dominant eigenvector of the 2x2
     covariance of the flattened pair, normalized to sum to 1.
 
+    Both sources must be 8-bit rasters of one shape. The covariance comes
+    from exact integer sums over the pair's joint level counts: each entry
+    is an exact rational, rounded to float64 once, so the weights do not
+    depend on summation order, BLAS or its thread count.
+
     The eigenvector sign is normalized so the component sum is positive.
     When that sum vanishes (anti-correlated or constant pair), the weights
     are undefined; fall back to 0.5 / 0.5 and flag the result degenerate.
     """
-    u = np.asarray(a, dtype=np.float64).ravel()
-    v = np.asarray(b, dtype=np.float64).ravel()
-    du = u - u.mean()
-    dv = v - v.mean()
-    cross = float(du @ dv)
-    cov = np.array([[float(du @ du), cross], [cross, float(dv @ dv)]]) / u.size
+    a, b = Fuser._check_pair(a, b)
+    cov = _covariance(a, b)
     if not cov.any():
         # No variance in either source: no principal direction exists.
         return 0.5, 0.5, True
@@ -299,6 +320,25 @@ def pca_weights(a: np.ndarray, b: np.ndarray):
         principal = -principal
         total = -total
     return float(principal[0] / total), float(principal[1] / total), False
+
+
+def _covariance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """2x2 population covariance of a checked uint8 pair, each entry
+    correctly rounded from its exact rational value."""
+    joint = joint_counts(a, b)
+    levels = np.arange(256, dtype=np.int64)
+    count_a, count_b = joint.sum(axis=1), joint.sum(axis=0)
+    # Integer dot products: exact, and no BLAS call. Python ints take the
+    # products below, which can exceed int64 on large rasters.
+    sum_a, sum_b = int(count_a @ levels), int(count_b @ levels)
+    sum_aa, sum_bb = int(count_a @ levels ** 2), int(count_b @ levels ** 2)
+    sum_ab = int(levels @ (joint @ levels))
+    n = a.size
+    # n^2 cov = n * sum(xy) - sum(x) * sum(y); int / int rounds correctly.
+    aa = (n * sum_aa - sum_a * sum_a) / (n * n)
+    ab = (n * sum_ab - sum_a * sum_b) / (n * n)
+    bb = (n * sum_bb - sum_b * sum_b) / (n * n)
+    return np.array([[aa, ab], [ab, bb]])
 
 
 _FUSER_CLASSES = {

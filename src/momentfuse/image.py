@@ -1,5 +1,5 @@
-"""Raster primitives: border padding, the stencil correlation, widening and
-8-bit quantization.
+"""Raster primitives: border padding, the stencil correlation, joint level
+counts, widening and 8-bit quantization.
 
 All fusion arithmetic runs in float64 and is only quantized once, when an
 8-bit output raster is actually needed.
@@ -55,6 +55,16 @@ def correlate(arr: np.ndarray, weights: np.ndarray) -> np.ndarray:
                 term = np.multiply(weight, cell, out=term)
                 acc += term
     return acc
+
+
+def joint_counts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """256x256 int64 counts of two same-shape uint8 rasters' level pairs:
+    cell (u, v) counts the pixels where `a` is u and `b` is v. Callers
+    validate both rasters."""
+    codes = a.astype(np.uint16)  # (u << 8) | v, built in place
+    codes <<= 8
+    codes |= b
+    return np.bincount(codes.ravel(), minlength=1 << 16).reshape(256, 256)
 
 
 def widen(img: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fusion import _run_strips
-from .image import widen
+from .image import joint_counts, widen
 from .validation import check_image_u8, check_same_shape
 
 
@@ -41,8 +41,7 @@ def joint_histogram(a: np.ndarray, f: np.ndarray) -> np.ndarray:
     a = check_image_u8(a, "first image")
     f = check_image_u8(f, "second image")
     check_same_shape(a, f, "first image", "second image")
-    codes = a.ravel().astype(np.int64) * 256 + f.ravel()
-    return np.bincount(codes, minlength=256 * 256).reshape(256, 256)
+    return joint_counts(a, f)
 
 
 def mutual_information(a: np.ndarray, f: np.ndarray) -> float:
@@ -174,7 +173,10 @@ def _preservation(src: EdgeMap, fused: EdgeMap, k: QabfConstants) -> np.ndarray:
 
     run in place, in the same order, so every bit of the result is the
     expression's. Two full-size buffers hold the work, plus a short-lived
-    one for pi - diff.
+    one for pi - diff. The clip is left out, since it never changes a
+    value: orientations lie in [-pi/2, pi/2], so diff lies in [0, pi], and
+    where diff >= pi/2, pi - diff is exact (Sterbenz), so the folded
+    difference lies in [0, pi/2].
     """
     gs, gf = src.strength, fused.strength
     qg = np.minimum(gs, gf)
@@ -188,15 +190,15 @@ def _preservation(src: EdgeMap, fused: EdgeMap, k: QabfConstants) -> np.ndarray:
     qa = np.subtract(src.orientation, fused.orientation, out=gmax)
     np.abs(qa, out=qa)
     np.minimum(qa, math.pi - qa, out=qa)
-    np.clip(qa, 0.0, math.pi / 2, out=qa)
     np.divide(qa, math.pi / 2, out=qa)
     np.subtract(1.0, qa, out=qa)
     _sigmoid_in_place(qa, k.gamma_a, k.kappa_a, k.sigma_a)
 
     np.multiply(qg, qa, out=qg)
     # Gradient-free source pixels preserve nothing by convention; their zero
-    # weight removes them from the ratio anyway.
-    np.copyto(qg, 0.0, where=~(gs > 0.0))
+    # weight removes them from the ratio anyway. Strengths are finite and
+    # >= 0, so gs == 0 is the complement of gs > 0.
+    np.copyto(qg, 0.0, where=gs == 0.0)
     return qg
 
 

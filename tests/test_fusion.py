@@ -3,9 +3,13 @@
 import hashlib
 import math
 import os
+import shutil
+import subprocess
 import sys
+import textwrap
 import threading
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import momentfuse
 from momentfuse import filters, fusion, image
 from momentfuse.filters import convolve3, high_boost_mask, preprocess
 from momentfuse.fusion import (
@@ -255,6 +260,96 @@ def test_pca_degenerate_anticorrelated_pair():
     wa, wb, degenerate = pca_weights(a, b)
     assert degenerate
     assert (wa, wb) == (0.5, 0.5)
+
+
+def exact_covariance(a, b):
+    """Independent oracle: the population covariance of the flattened pair
+    as exact rationals, by its two-pass definition."""
+    u = [int(x) for x in a.ravel()]
+    v = [int(x) for x in b.ravel()]
+    n = len(u)
+    mu, mv = Fraction(sum(u), n), Fraction(sum(v), n)
+    du = [x - mu for x in u]
+    dv = [x - mv for x in v]
+    return [[sum(x * y for x, y in zip(p, q)) / n for q in (du, dv)] for p in (du, dv)]
+
+
+@pytest.mark.parametrize("kind", ["random", "constant", "one_constant", "anticorrelated",
+                                  "identical", "extreme"])
+def test_covariance_is_the_correctly_rounded_exact_rational(kind):
+    rng = np.random.default_rng(48)
+    a, b = rng.integers(0, 256, size=(2, 13, 11), dtype=np.uint8)
+    if kind == "constant":
+        a, b = np.full_like(a, 100), np.full_like(b, 200)
+    elif kind == "one_constant":
+        b = np.full_like(b, 77)
+    elif kind == "anticorrelated":
+        b = 255 - a
+    elif kind == "identical":
+        b = a
+    elif kind == "extreme":
+        a = np.where(a > 127, 255, 0).astype(np.uint8)
+        b = np.where(b > 200, 255, 0).astype(np.uint8)
+    cov = fusion._covariance(a, b)
+    expected = [[float(x) for x in row] for row in exact_covariance(a, b)]
+    assert cov.tolist() == expected
+    if kind == "constant":
+        assert not cov.any()
+    if kind == "anticorrelated":
+        assert cov[0, 1] == -cov[0, 0] < 0
+
+
+def test_pca_weights_reject_non_8_bit_sources():
+    a = np.zeros((4, 4), dtype=np.uint8)
+    with pytest.raises(ValueError, match="integer array"):
+        pca_weights(a.astype(np.float64), a)
+    with pytest.raises(ShapeMismatchError):
+        pca_weights(a, a[:3])
+
+
+# Prints the PCA weights and a digest of PcaFuser's fused_f for three
+# seed-0 256^2 pairs: large enough that a BLAS dot product would split its
+# sum across threads.
+_PCA_PROBE = textwrap.dedent("""
+    import hashlib
+    from momentfuse.fusion import PcaFuser, pca_weights
+    from momentfuse.synthetic import synthesize_pairs
+    for _, pair in synthesize_pairs(3, sigma=2.0, seed=0):
+        fused_f = PcaFuser().fuse(pair.a, pair.b).fused_f
+        print(pca_weights(pair.a, pair.b), hashlib.sha256(fused_f.tobytes()).hexdigest())
+""")
+
+
+def test_pca_bits_do_not_depend_on_blas_threads():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(momentfuse.__file__)))
+    runs = [({"OPENBLAS_NUM_THREADS": "1"}, []), ({"OPENBLAS_NUM_THREADS": "2"}, [])]
+    if shutil.which("taskset") and hasattr(os, "sched_getaffinity") and 0 in os.sched_getaffinity(0):
+        runs.append(({}, ["taskset", "-c", "0"]))
+    outputs = []
+    for extra_env, prefix in runs:
+        done = subprocess.run(prefix + [sys.executable, "-c", _PCA_PROBE],
+                              env=dict(env, **extra_env), capture_output=True, text=True,
+                              timeout=120, check=True)
+        outputs.append(done.stdout)
+    assert len(outputs[0].splitlines()) == 3
+    assert all(out == outputs[0] for out in outputs), outputs
+
+
+@pytest.mark.parametrize("strip_pixels", [7, 64, 1 << 16])
+def test_blends_on_strips_equal_the_full_raster_expressions(monkeypatch, strip_pixels):
+    monkeypatch.setattr(fusion, "_STRIP_PIXELS", strip_pixels)
+    monkeypatch.setattr(fusion, "_worker_count", lambda tasks: min(tasks, 3))
+    rng = np.random.default_rng(49)
+    a, b = rng.integers(0, 256, size=(2, 37, 16), dtype=np.uint8)
+    average = AverageFuser().fuse(a, b)
+    pca = PcaFuser().fuse(a, b)
+    wa, wb = pca.weights
+    assert (wa, wb, pca.degenerate) == pca_weights(a, b)
+    for result, expected in ((average, (widen(a) + widen(b)) / 2.0),
+                             (pca, wa * widen(a) + wb * widen(b))):
+        assert result.fused_f.dtype == np.float64 and result.fused_u8.dtype == np.uint8
+        assert result.fused_f.tobytes() == expected.tobytes()
+        assert np.array_equal(result.fused_u8, quantize(result.fused_f))
 
 
 def test_make_fuser_names_and_params():
