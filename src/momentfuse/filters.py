@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image import correlate, widen
-from .validation import check_image_float
+from .image import correlate
+from .validation import check_image_float, check_image_u8
 
 DEFAULT_CENTER_WEIGHT = 17.9
 
@@ -58,7 +58,9 @@ def convolve3(img: np.ndarray, kernel: Kernel3) -> np.ndarray:
     The mask is applied as written (correlation); output has the input's
     shape and is not clamped, so samples may be negative or exceed 255.
     """
-    return kernel.scale * correlate(check_image_float(img), kernel.coeffs)
+    out = correlate(check_image_float(img), kernel.coeffs)
+    out *= kernel.scale
+    return out
 
 
 def preprocess(img: np.ndarray, center: float = DEFAULT_CENTER_WEIGHT) -> np.ndarray:
@@ -67,6 +69,9 @@ def preprocess(img: np.ndarray, center: float = DEFAULT_CENTER_WEIGHT) -> np.nda
     The result is the unclamped filtered raster every downstream saliency
     computation works on.
     """
-    # A widened uint8 raster is finite, so the mask skips convolve3's scan.
+    # The uint8 samples widen as they are copied into the padded buffer,
+    # and a widened uint8 raster is finite, so the mask skips convolve3's scan.
     mask = high_boost_mask(center)
-    return mask.scale * correlate(widen(img), mask.coeffs)
+    out = correlate(check_image_u8(img), mask.coeffs)
+    out *= mask.scale
+    return out

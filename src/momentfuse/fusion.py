@@ -17,8 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-from .filters import DEFAULT_CENTER_WEIGHT, high_boost_mask, preprocess
-from .image import correlate, joint_counts, round_u8
+from .filters import DEFAULT_CENTER_WEIGHT, high_boost_mask
+from .image import accumulate, correlate, joint_counts, pad_edges, round_u8
 from .validation import (
     check_image_float,
     check_image_u8,
@@ -64,7 +64,8 @@ def local_moment_map(img: np.ndarray, p: int = 1, q: int = 1, window: int = 3,
 
     p = q = 0 degenerates to a plain box sum.
     """
-    return _moment(check_image_float(img), _moment_weights(p, q, window), magnitude)
+    arr = check_image_float(img)
+    return correlate(np.abs(arr) if magnitude else arr, _moment_weights(p, q, window))
 
 
 def _moment_weights(p: int, q: int, window: int) -> np.ndarray:
@@ -76,11 +77,6 @@ def _moment_weights(p: int, q: int, window: int) -> np.ndarray:
         raise ValueError(f"moment orders must be in [0, {MAX_MOMENT_ORDER}], got p={p}, q={q}")
     index = np.arange(1, window + 1, dtype=np.float64)
     return np.outer(index ** p, index ** q)
-
-
-def _moment(arr: np.ndarray, weights: np.ndarray, magnitude: bool) -> np.ndarray:
-    """`local_moment_map` of a finite float64 raster, without the checks."""
-    return correlate(np.abs(arr) if magnitude else arr, weights)
 
 
 def _worker_count(tasks: int) -> int:
@@ -209,28 +205,57 @@ class MomentFuser(Fuser):
     source: str = "filtered"
     center: float = DEFAULT_CENTER_WEIGHT
 
-    def _check_params(self) -> np.ndarray:
-        """Raise ValueError if a parameter is out of range; return the moment
-        window's weights."""
+    def _check_params(self) -> tuple:
+        """Raise ValueError if a parameter is out of range; return the
+        preprocessing mask and the moment window's weights."""
         if self.source not in ("filtered", "original"):
             raise ValueError(f"source must be 'filtered' or 'original', got {self.source!r}")
-        high_boost_mask(self.center)
-        return _moment_weights(self.p, self.q, self.window)
+        return high_boost_mask(self.center), _moment_weights(self.p, self.q, self.window)
 
     def fuse(self, a, b) -> FusionResult:
-        weights = self._check_params()
+        mask, weights = self._check_params()
         a, b = self._check_pair(a, b)
+        height, width = a.shape
+        reach = len(weights) // 2  # the moment window's; the mask's is 1
 
         # The strips' rasters derive from the checked pair, so they are
-        # finite and skip the public stages' checks.
+        # finite and skip the public stages' checks. Each strip runs
+        # `preprocess` and `local_moment_map` on the rows it needs, in
+        # buffers padded where those rows meet the image's edge, which
+        # gives the full-raster stages' bits.
         def fuse_strip(top, bottom, lo, hi, keep):
-            fa = preprocess(a[lo:hi], self.center)
-            fb = preprocess(b[lo:hi], self.center)
-            ma = _moment(fa, weights, self.magnitude)[keep]
-            mb = _moment(fb, weights, self.magnitude)[keep]
+            # The mask filters rows [f0, f1): the strip's own rows and the
+            # rows the moment window reads around them. It reads source rows
+            # [lo, hi), one more on each side, and the moment window reads
+            # its rows, reach more on each side; both buffers repeat the
+            # edge row where those rows would leave the image.
+            f0, f1 = max(0, top - reach), min(height, bottom + reach)
+            source_top, moment_top = 1 - (f0 - lo), reach - (top - f0)
+            source_rows = np.empty((f1 - f0 + 2, width + 2))
+            moment_rows = np.empty((bottom - top + 2 * reach, width + 2 * reach))
+            term = np.empty((f1 - f0, width))  # one product buffer for every pass
+
+            def moments(src):
+                # The uint8 rows widen exactly as they are copied in.
+                source_rows[source_top:source_top + hi - lo, 1:-1] = src[lo:hi]
+                pad_edges(source_rows, source_top, 1, hi - lo, width)
+                filtered = accumulate(source_rows, mask.coeffs, np.empty((f1 - f0, width)), term)
+                filtered *= mask.scale
+                inner = moment_rows[moment_top:moment_top + f1 - f0, reach:reach + width]
+                if self.magnitude:
+                    np.abs(filtered, out=inner)
+                else:
+                    inner[...] = filtered
+                pad_edges(moment_rows, moment_top, reach, f1 - f0, width)
+                moment = accumulate(moment_rows, weights, np.empty((bottom - top, width)),
+                                    term[:bottom - top])
+                return filtered[top - f0:bottom - f0], moment
+
+            fa, ma = moments(a)
+            fb, mb = moments(b)
             select_a = ma >= mb
             if self.source == "filtered":
-                fused_f = np.where(select_a, fa[keep], fb[keep])
+                fused_f = np.where(select_a, fa, fb)
                 fused_u8 = round_u8(fused_f)
             else:  # a widened uint8 sample rounds back to itself
                 fused_u8 = np.where(select_a, a[top:bottom], b[top:bottom])
@@ -240,7 +265,7 @@ class MomentFuser(Fuser):
         # Output row r depends on source rows r +- halo: the mask reaches one
         # row, the moment window half its side.
         fused_u8, fused_f, decision, ma, mb = _run_strips(
-            *a.shape, 1 + len(weights) // 2, fuse_strip,
+            height, width, 1 + reach, fuse_strip,
             (np.uint8, np.float64, bool, np.float64, np.float64))
         return FusionResult(fused_u8=fused_u8, fused_f=fused_f, method="moment",
                             decision=decision, moments_a=ma, moments_b=mb)

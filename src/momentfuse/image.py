@@ -1,5 +1,5 @@
-"""Raster primitives: border padding, the stencil correlation, joint level
-counts, widening and 8-bit quantization.
+"""Raster primitives: replicate padding into caller-owned buffers, the
+stencil correlation, joint level counts, widening and 8-bit quantization.
 
 All fusion arithmetic runs in float64 and is only quantized once, when an
 8-bit output raster is actually needed.
@@ -11,49 +11,89 @@ from .validation import check_image_float, check_image_u8
 
 
 def pad(img: np.ndarray, margin: int) -> np.ndarray:
-    """Pad a raster by `margin` pixels on every side.
+    """Pad a 2-D raster by `margin` pixels on every side.
 
     The border repeats the nearest interior pixel, so no new intensity
     values are invented at the edges.
     """
     if margin < 0:
         raise ValueError(f"margin must be >= 0, got {margin}")
-    if margin == 0:
-        return np.array(img, copy=True)
-    return np.pad(img, margin, mode="edge")
+    img = np.asarray(img)
+    h, w = img.shape
+    padded = np.empty((h + 2 * margin, w + 2 * margin), img.dtype)
+    padded[margin:margin + h, margin:margin + w] = img
+    return pad_edges(padded, margin, margin, h, w)
+
+
+def pad_edges(padded: np.ndarray, top: int, left: int, height: int, width: int) -> np.ndarray:
+    """Fill a caller-owned buffer around the block
+    padded[top:top + height, left:left + width], which the caller has
+    written, by repeating the block's nearest pixel (replicate padding);
+    return `padded`.
+
+    The margins may differ per side, so a row strip pads only the sides
+    where it meets the image's edge.
+    """
+    rows = padded[top:top + height]
+    rows[:, :left] = rows[:, left:left + 1]
+    rows[:, left + width:] = rows[:, left + width - 1:left + width]
+    padded[:top] = padded[top]
+    padded[top + height:] = padded[top + height - 1]
+    return padded
 
 
 def correlate(arr: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Correlate a float raster with an odd-sided weight array under
-    replicate padding.
+    """Correlate a raster with an odd-sided weight array under replicate
+    padding.
 
     out(r, c) = sum_{i,j} weights(i, j) * padded(r + i, c + j), where the
-    raster is edge-padded by kh//2 rows and kw//2 columns. Cells are added in
-    row-major order and zero weights are skipped, so the summation order,
-    and with it every output bit, is fixed by `weights` alone. The mask, moment
-    window and blur run through here; Sobel has exact int16 passes of its own.
-    `arr` must be a 2-D float64 raster; callers validate it.
+    raster is edge-padded by kh//2 rows and kw//2 columns. `arr` is a 2-D
+    float64 raster, or a uint8 one, which widens exactly as it is copied
+    into the padded buffer; callers validate it. The mask, moment window
+    and blur run through here; Sobel has exact int16 passes of its own.
     """
     kh, kw = weights.shape
     h, w = arr.shape
-    padded = np.pad(arr, ((kh // 2, kh // 2), (kw // 2, kw // 2)), mode="edge")
-    # Filled eagerly: np.zeros would hand back lazily zeroed pages whose
-    # faults land in the first add, ~10% of a 256^2 blur on a 2-core Xeon.
-    acc = np.full((h, w), 0.0)
-    term = None  # one product buffer, reused by every other weight
-    for i in range(kh):
-        for j in range(kw):
-            weight = weights[i, j]
-            cell = padded[i:i + h, j:j + w]
-            # 1 * x == x and a + (-x) == a - x exactly, so the +-1 cells skip
-            # their multiply without changing a bit.
-            if weight == 1.0:
-                acc += cell
-            elif weight == -1.0:
-                acc -= cell
-            elif weight != 0.0:
-                term = np.multiply(weight, cell, out=term)
-                acc += term
+    padded = np.empty((h + kh - 1, w + kw - 1))
+    padded[kh // 2:kh // 2 + h, kw // 2:kw // 2 + w] = arr
+    pad_edges(padded, kh // 2, kw // 2, h, w)
+    return accumulate(padded, weights, np.empty((h, w)))
+
+
+def accumulate(padded: np.ndarray, weights: np.ndarray, acc: np.ndarray,
+               term: np.ndarray | None = None) -> np.ndarray:
+    """Write into `acc` the sum over the weight cells of each cell's weight
+    times the `acc`-shaped window of `padded` it shifts to, and return it.
+
+    Cells are added in row-major order and zero weights are skipped, so the
+    summation order, and with it every output bit, is fixed by `weights`
+    alone. `term`, if given, is an `acc`-shaped buffer for the products.
+    """
+    h, w = acc.shape
+    taps = [(weights[i, j], padded[i:i + h, j:j + w]) for i, j in zip(*np.nonzero(weights))]
+    if not taps:
+        acc.fill(0.0)
+        return acc
+    # The first tap writes 0.0 + w * x, the bits that adding it to a
+    # zero-filled accumulator gives (0.0 + -0.0 is 0.0), with no fill pass.
+    # 1 * x == x and a + (-x) == a - x exactly, so the +-1 cells skip their
+    # multiply without changing a bit.
+    weight, cell = taps[0]
+    if weight == 1.0:
+        np.add(cell, 0.0, out=acc)
+    elif weight == -1.0:
+        np.subtract(0.0, cell, out=acc)
+    else:
+        np.multiply(weight, cell, out=acc)
+        acc += 0.0
+    for weight, cell in taps[1:]:
+        if weight == 1.0:
+            acc += cell
+        elif weight == -1.0:
+            acc -= cell
+        else:
+            term = np.multiply(weight, cell, out=term)
+            acc += term
     return acc
 
 
@@ -84,4 +124,5 @@ def round_u8(arr: np.ndarray) -> np.ndarray:
     """`quantize` without the checks: `arr` must be a finite float64 raster."""
     clipped = np.clip(arr, 0.0, 255.0)
     # After clipping all values are >= 0, so half away from zero == floor(x + 0.5).
-    return np.floor(clipped + 0.5).astype(np.uint8)
+    clipped += 0.5
+    return np.floor(clipped, out=clipped).astype(np.uint8)

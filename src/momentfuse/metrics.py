@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fusion import _run_strips
-from .image import joint_counts, widen
+from .image import joint_counts, pad_edges, widen
 from .validation import check_image_u8, check_same_shape
 
 
@@ -27,7 +27,9 @@ def entropy(img: np.ndarray) -> float:
     """Shannon entropy of the intensity histogram, in bits (0 to 8)."""
     counts = histogram256(img)
     probs = counts[counts > 0] / counts.sum()
-    return float(-np.sum(probs * np.log2(probs)))
+    # + 0.0 turns the -0.0 of a one-level raster into 0.0 and leaves every
+    # nonzero value as it is.
+    return float(-np.sum(probs * np.log2(probs))) + 0.0
 
 
 def std_dev(img: np.ndarray) -> float:
@@ -100,7 +102,11 @@ def _sobel(rows_u8: np.ndarray, keep: slice) -> EdgeMap:
     # On uint8 samples every partial sum is an integer in [-1020, 1020], so the
     # int16 derivatives equal the 3x3 float stencil bit for bit.
     start, stop, _ = keep.indices(len(rows_u8))
-    padded = np.pad(rows_u8, 1, mode="edge")[start:stop + 2].astype(np.int16)
+    lo, hi = max(0, start - 1), min(len(rows_u8), stop + 1)
+    top = 1 - (start - lo)  # 1 where the rows meet the strip's top edge
+    padded = np.empty((stop - start + 2, rows_u8.shape[1] + 2), np.int16)
+    padded[top:top + hi - lo, 1:-1] = rows_u8[lo:hi]
+    pad_edges(padded, top, 1, hi - lo, rows_u8.shape[1])
     sx = _sobel_x(padded)
     sy = _sobel_x(padded.T).T  # the y kernel is the x kernel transposed
     return EdgeMap(strength=np.hypot(sx, sy), orientation=_orientation(sx, sy))

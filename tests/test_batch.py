@@ -315,6 +315,24 @@ def test_csv_and_json_carry_identical_numbers(tmp_path):
         assert (degenerate_s == "true") == emitted["degenerate"]
 
 
+def test_constant_pair_reports_zero_entropy_as_0_0(tmp_path):
+    # The entropy of a one-level raster is -(1 * log2(1)) = -0.0 before the
+    # sign is dropped; its rows must print 0.0, as the (mean) rows do.
+    img = np.full((6, 5), 77, dtype=np.uint8)
+    write_pgm(tmp_path / "c_a.pgm", img)
+    write_pgm(tmp_path / "c_b.pgm", img)
+    report = run_batch(discover_pairs(tmp_path)[0])
+    assert emit_report(report, "csv") == (
+        b"pair_id,method,mim,sd,entropy,qabf,degenerate\n"
+        b"c,average,0.0,0.0,0.0,0.0,true\n"
+        b"c,moment,0.0,0.0,0.0,0.0,true\n"
+        b"c,pca,0.0,0.0,0.0,0.0,true\n"
+        b"(mean),average,0.0,0.0,0.0,0.0,1\n"
+        b"(mean),moment,0.0,0.0,0.0,0.0,1\n"
+        b"(mean),pca,0.0,0.0,0.0,0.0,1\n")
+    assert b"-0.0" not in emit_report(report, "json")
+
+
 def test_emissions_are_deterministic(tmp_path):
     write_pair_dir(tmp_path, n=2)
     pairs, _ = discover_pairs(tmp_path)

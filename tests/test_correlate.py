@@ -12,7 +12,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from momentfuse.filters import identity_kernel
 from momentfuse.image import correlate
+from momentfuse.synthetic import _gaussian_kernel1d
 
 
 def naive_correlate(img, weights):
@@ -76,19 +78,31 @@ def row_major_correlate(img, weights):
 
 
 real_rasters = st.tuples(st.integers(1, 9), st.integers(1, 9)).flatmap(
-    lambda shape: arrays(np.float64, shape,
-                         elements=st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)))
+    lambda shape: arrays(np.float64, shape, elements=st.one_of(
+        st.sampled_from([0.0, -0.0]),
+        st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False))))
 mixed_weights = st.tuples(odd_sides, odd_sides).flatmap(
     lambda shape: arrays(np.float64, shape, elements=st.one_of(
         st.sampled_from([0.0, 1.0, -1.0]),
         st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False))))
+# Kernels whose first nonzero cell follows zero cells or is not +-1.
+blur_taps = [_gaussian_kernel1d(sigma) for sigma in (0.6, 1.3, 2.0)]
+leading_zero_weights = st.sampled_from(
+    [identity_kernel().coeffs, -identity_kernel().coeffs, 2.5 * identity_kernel().coeffs,
+     np.zeros((3, 3))]
+    + [taps[:, None] for taps in blur_taps] + [taps[None, :] for taps in blur_taps])
 
 
 @settings(max_examples=300, deadline=None)
-@given(img=real_rasters, weights=mixed_weights)
+@given(img=real_rasters, weights=st.one_of(leading_zero_weights, mixed_weights))
 @example(img=np.array([[0.1, -0.7], [1e6, 3.3]]),
          weights=np.array([[1.0, -1.0, 0.3], [0.0, -1.0, 1.0], [-2.5, 1.0, 0.0]]))
+@example(img=np.array([[-0.0, 0.0], [-0.0, -0.0]]), weights=identity_kernel().coeffs)
 def test_matches_row_major_order_bit_for_bit(img, weights):
     # Non-integer sums round differently in another order, so this pins the
     # order itself, and that the +-1 cells add or subtract the cell exactly.
-    assert np.array_equal(correlate(img, weights), row_major_correlate(img, weights))
+    # The first nonzero cell is written, not added to a zero-filled start, so
+    # it must give 0.0 + w * x: 0.0, not -0.0, where w * x is -0.0. Bytes
+    # tell the two zeros apart, and np.array_equal does not.
+    assert correlate(img, weights).tobytes() == row_major_correlate(img, weights).tobytes()
+

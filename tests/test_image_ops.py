@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from momentfuse.image import pad, quantize, widen
+from momentfuse.image import pad, pad_edges, quantize, widen
 
 
 def test_pad_single_pixel_replicates():
@@ -39,6 +39,17 @@ def test_pad_twice_equals_pad_double_margin():
 def test_pad_rejects_negative_margin():
     with pytest.raises(ValueError):
         pad(np.zeros((2, 2)), -1)
+
+
+@pytest.mark.parametrize("top, bottom, left, right",
+                         [(0, 0, 0, 0), (1, 0, 1, 1), (0, 3, 2, 0), (2, 2, 0, 1)])
+def test_pad_edges_matches_edge_padding_per_side(top, bottom, left, right):
+    # Strips pad only the sides where they meet the image's edge.
+    img = np.arange(12, dtype=np.int16).reshape(3, 4)
+    padded = np.empty((3 + top + bottom, 4 + left + right), np.int16)
+    padded[top:top + 3, left:left + 4] = img
+    assert pad_edges(padded, top, left, 3, 4) is padded
+    assert np.array_equal(padded, np.pad(img, ((top, bottom), (left, right)), mode="edge"))
 
 
 def test_quantize_clamp_and_round():

@@ -508,3 +508,35 @@ def test_run_pair_calls_traced_functions_on_the_calling_thread(monkeypatch):
     assert threads["sobel_edges"] == caller
     assert "quantize" not in threads and "check_float" not in threads
     assert threads["_sobel"] - caller and threads["_preservation"] - caller
+
+
+u8_rasters = st.tuples(st.integers(1, 16), st.integers(1, 16)).flatmap(
+    lambda shape: st.tuples(*[arrays(np.uint8, shape)] * 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(images=u8_rasters)
+def test_mutual_information_is_symmetric(images):
+    a, f, _ = images
+    # The transposed joint histogram sums its cells in another order, so
+    # the two agree to rounding, not to the bit.
+    assert mutual_information(a, f) == pytest.approx(mutual_information(f, a), rel=1e-12, abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(images=u8_rasters)
+@example(images=(np.arange(256, dtype=np.uint8).reshape(16, 16),) * 3)
+def test_entropy_lies_in_0_to_8_bits_and_is_never_negative_zero(images):
+    bits = entropy(images[0])
+    assert 0.0 <= bits <= 8.0
+    assert math.copysign(1.0, bits) == 1.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(images=u8_rasters)
+def test_qabf_lies_in_0_to_1(images):
+    score, degenerate = qabf(*images)
+    assert 0.0 <= score <= 1.0
+    # Degenerate exactly when neither source has an edge.
+    assert degenerate == (not (sobel_edges(images[0]).strength.any()
+                               or sobel_edges(images[1]).strength.any()))
