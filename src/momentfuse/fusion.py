@@ -12,6 +12,7 @@ constructor arguments stored under the same names, introspectable through
 
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextvars import copy_context
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -97,11 +98,13 @@ def _run_strips(height: int, width: int, halo: int, fn, dtypes) -> tuple:
     `keep` slicing its own rows out of them. Clipping reproduces replicate
     padding, so a stencil whose vertical reach is at most `halo` gives the
     same bits strip by strip as on the full raster. `fn` returns its rows of
-    each output and writes into nothing shared.
+    each output and writes into nothing shared; a block may be a strided
+    view, such as the first `width` columns of a wider buffer.
 
     A raster that fits one strip gets `fn`'s own arrays, allocated after the
     kernel's temporaries: allocated first, they made a 256^2 `run_pair`
-    slower, through more page faults as the C heap grew. Otherwise the
+    slower, through more page faults as the C heap grew. A block that is not
+    C-contiguous is copied, so every output is. Otherwise the
     outputs are allocated before any strip runs, strips of about
     `_STRIP_PIXELS` pixels run on one thread per CPU (inline on one CPU),
     and each copies its rows in.
@@ -114,7 +117,7 @@ def _run_strips(height: int, width: int, halo: int, fn, dtypes) -> tuple:
         return fn(top, bottom, lo, hi, slice(top - lo, bottom - lo))
 
     if height <= rows:
-        return tuple(strip(0))
+        return tuple(np.ascontiguousarray(out) for out in strip(0))
     outputs = tuple(np.empty((height, width), dtype) for dtype in dtypes)
 
     def run(top):
@@ -128,8 +131,11 @@ def _run_strips(height: int, width: int, halo: int, fn, dtypes) -> tuple:
             run(top)
     else:
         # A pool per call: a process forked later inherits no idle threads.
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(run, tops))  # re-raises a strip's exception
+        # Each strip runs in a copy of the caller's context, so the caller's
+        # np.errstate holds in the workers as it does inline.
+        contexts = [copy_context() for _ in tops]
+        with ThreadPoolExecutor(workers) as pool:  # map re-raises a strip's exception
+            list(pool.map(lambda context, top: context.run(run, top), contexts, tops))
     return outputs
 
 
@@ -222,7 +228,11 @@ class MomentFuser(Fuser):
         # finite and skip the public stages' checks. Each strip runs
         # `preprocess` and `local_moment_map` on the rows it needs, in
         # buffers padded where those rows meet the image's edge, which
-        # gives the full-raster stages' bits.
+        # gives the full-raster stages' bits. Both buffers, and the mask's
+        # output, share one row stride, so every pass between them is one
+        # flat slice; columns past `width` are scratch.
+        stride = width + 2 * max(1, reach)
+
         def fuse_strip(top, bottom, lo, hi, keep):
             # The mask filters rows [f0, f1): the strip's own rows and the
             # rows the moment window reads around them. It reads source rows
@@ -231,36 +241,42 @@ class MomentFuser(Fuser):
             # edge row where those rows would leave the image.
             f0, f1 = max(0, top - reach), min(height, bottom + reach)
             source_top, moment_top = 1 - (f0 - lo), reach - (top - f0)
-            source_rows = np.empty((f1 - f0 + 2, width + 2))
-            moment_rows = np.empty((bottom - top + 2 * reach, width + 2 * reach))
-            term = np.empty((f1 - f0, width))  # one product buffer for every pass
+            source_rows = np.empty((f1 - f0 + 2, stride))
+            moment_rows = np.empty((bottom - top + 2 * reach, stride))
+            term = np.empty((f1 - f0) * stride)  # one product buffer for every pass
+            # filtered[r, c] goes to moment_rows[moment_top + r, reach + c]:
+            # one flat copy at a fixed offset, through the last kept pixel.
+            # The scratch columns it carries land in pad columns, which
+            # pad_edges then overwrites.
+            offset = moment_top * stride + reach
+            count = (f1 - f0 - 1) * stride + width
+            inner = moment_rows.reshape(-1)[offset:offset + count]
 
             def moments(src):
                 # The uint8 rows widen exactly as they are copied in.
-                source_rows[source_top:source_top + hi - lo, 1:-1] = src[lo:hi]
+                source_rows[source_top:source_top + hi - lo, 1:width + 1] = src[lo:hi]
                 pad_edges(source_rows, source_top, 1, hi - lo, width)
-                filtered = accumulate(source_rows, mask.coeffs, np.empty((f1 - f0, width)), term)
+                filtered = accumulate(source_rows, mask.coeffs, np.empty((f1 - f0, stride)), term)
                 filtered *= mask.scale
-                inner = moment_rows[moment_top:moment_top + f1 - f0, reach:reach + width]
                 if self.magnitude:
-                    np.abs(filtered, out=inner)
+                    np.abs(filtered.reshape(-1)[:count], out=inner)
                 else:
-                    inner[...] = filtered
+                    inner[...] = filtered.reshape(-1)[:count]
                 pad_edges(moment_rows, moment_top, reach, f1 - f0, width)
-                moment = accumulate(moment_rows, weights, np.empty((bottom - top, width)),
-                                    term[:bottom - top])
-                return filtered[top - f0:bottom - f0], moment
+                moment = accumulate(moment_rows, weights, np.empty((bottom - top, stride)), term)
+                return filtered[top - f0:bottom - f0, :width], moment
 
             fa, ma = moments(a)
             fb, mb = moments(b)
-            select_a = ma >= mb
+            # One flat compare: the scratch columns hold finite sums.
+            select_a = (ma >= mb)[:, :width]
             if self.source == "filtered":
                 fused_f = np.where(select_a, fa, fb)
                 fused_u8 = round_u8(fused_f)
             else:  # a widened uint8 sample rounds back to itself
                 fused_u8 = np.where(select_a, a[top:bottom], b[top:bottom])
                 fused_f = fused_u8.astype(np.float64)
-            return fused_u8, fused_f, select_a, ma, mb
+            return fused_u8, fused_f, select_a, ma[:, :width], mb[:, :width]
 
         # Output row r depends on source rows r +- halo: the mask reaches one
         # row, the moment window half its side.

@@ -51,49 +51,69 @@ def correlate(arr: np.ndarray, weights: np.ndarray) -> np.ndarray:
     float64 raster, or a uint8 one, which widens exactly as it is copied
     into the padded buffer; callers validate it. The mask, moment window
     and blur run through here; Sobel has exact int16 passes of its own.
+    Returns a C-contiguous float64 raster of `arr`'s shape.
     """
     kh, kw = weights.shape
     h, w = arr.shape
     padded = np.empty((h + kh - 1, w + kw - 1))
     padded[kh // 2:kh // 2 + h, kw // 2:kw // 2 + w] = arr
     pad_edges(padded, kh // 2, kw // 2, h, w)
-    return accumulate(padded, weights, np.empty((h, w)))
+    acc = accumulate(padded, weights, np.empty((h, w + kw - 1)))
+    return np.ascontiguousarray(acc[:, :w])  # no copy when kw == 1
 
 
 def accumulate(padded: np.ndarray, weights: np.ndarray, acc: np.ndarray,
                term: np.ndarray | None = None) -> np.ndarray:
     """Write into `acc` the sum over the weight cells of each cell's weight
-    times the `acc`-shaped window of `padded` it shifts to, and return it.
+    times the window of `padded` it shifts to, and return it.
+
+    `padded` and `acc` are C-contiguous and share the row stride W, so each
+    cell (i, j) is one contiguous 1-D slice of `padded`, starting at
+    i * W + j. With h = acc.shape[0] and (kh, kw) = weights.shape, `padded`
+    has h + kh - 1 rows, and acc[r, c] for c < W - kw + 1 is the sum at
+    padded[r:r + kh, c:c + kw]. The last kw - 1 columns of each row are
+    scratch: they hold finite sums of cells that wrap into the next row
+    when `padded` is finite, and zeros at the end of the last row.
 
     Cells are added in row-major order and zero weights are skipped, so the
     summation order, and with it every output bit, is fixed by `weights`
-    alone. `term`, if given, is an `acc`-shaped buffer for the products.
+    alone. `term`, if given, is a C-contiguous buffer of at least acc.size
+    float64 elements for the products.
     """
-    h, w = acc.shape
-    taps = [(weights[i, j], padded[i:i + h, j:j + w]) for i, j in zip(*np.nonzero(weights))]
+    if not acc.flags.c_contiguous or acc.shape[1] != padded.shape[1]:
+        raise ValueError("acc must be C-contiguous with the padded buffer's row stride")
+    row = padded.shape[1]
+    kw = weights.shape[1]
+    n = acc.size - (kw - 1)  # the last kw - 1 elements would read past `padded`
+    src, out = padded.reshape(-1), acc.reshape(-1)
+    out[n:] = 0.0
+    out = out[:n]
+    taps = [(weights[i, j], src[i * row + j:i * row + j + n]) for i, j in zip(*np.nonzero(weights))]
     if not taps:
         acc.fill(0.0)
         return acc
+    if term is not None:
+        term = term.reshape(-1)[:n]
     # The first tap writes 0.0 + w * x, the bits that adding it to a
     # zero-filled accumulator gives (0.0 + -0.0 is 0.0), with no fill pass.
     # 1 * x == x and a + (-x) == a - x exactly, so the +-1 cells skip their
     # multiply without changing a bit.
     weight, cell = taps[0]
     if weight == 1.0:
-        np.add(cell, 0.0, out=acc)
+        np.add(cell, 0.0, out=out)
     elif weight == -1.0:
-        np.subtract(0.0, cell, out=acc)
+        np.subtract(0.0, cell, out=out)
     else:
-        np.multiply(weight, cell, out=acc)
-        acc += 0.0
+        np.multiply(weight, cell, out=out)
+        out += 0.0
     for weight, cell in taps[1:]:
         if weight == 1.0:
-            acc += cell
+            out += cell
         elif weight == -1.0:
-            acc -= cell
+            out -= cell
         else:
             term = np.multiply(weight, cell, out=term)
-            acc += term
+            out += term
     return acc
 
 

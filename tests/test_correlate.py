@@ -3,17 +3,18 @@ oracle and a summation-order oracle.
 
 In the clamping tests rasters and weights hold small integers, so every
 partial sum is an exact float64 integer and the comparison can be exact in
-any summation order. The order test uses non-integer data, where only the
+any summation order. The order tests use non-integer data, where only the
 documented order gives the same bits.
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from momentfuse.filters import identity_kernel
-from momentfuse.image import correlate
+from momentfuse.image import accumulate, correlate
 from momentfuse.synthetic import _gaussian_kernel1d
 
 
@@ -106,3 +107,51 @@ def test_matches_row_major_order_bit_for_bit(img, weights):
     # tell the two zeros apart, and np.array_equal does not.
     assert correlate(img, weights).tobytes() == row_major_correlate(img, weights).tobytes()
 
+
+
+# Normal floats away from zero, so no product or sum underflows under
+# np.errstate(all="raise"); zeros of both signs still appear.
+normal_floats = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(1e-3, 1e6), st.floats(-1e6, -1e-3))
+normal_rasters = st.tuples(st.integers(1, 9), st.integers(1, 9)).flatmap(
+    lambda shape: arrays(np.float64, shape, elements=normal_floats))
+sides = st.sampled_from([1, 3, 5, 7])  # 7 exceeds small rasters
+normal_weights = st.tuples(sides, sides).flatmap(
+    lambda shape: arrays(np.float64, shape, elements=st.one_of(
+        st.sampled_from([0.0, 1.0, -1.0]), st.floats(1e-3, 10.0), st.floats(-10.0, -1e-3))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(img=normal_rasters, weights=st.one_of(leading_zero_weights, normal_weights))
+@example(img=np.array([[7.5]]), weights=np.array([[0.5, -1.0, 2.0]]))
+@example(img=np.array([[7.5]]), weights=np.array([[0.5], [-1.0], [2.0]]))
+@example(img=np.array([[7.5]]), weights=np.full((7, 5), 0.3))
+def test_accumulate_writes_every_element_and_valid_columns_match_row_major_order(img, weights):
+    # acc and term start as NaN, so a valid column that read an element
+    # before it was written would differ from the oracle, and a scratch
+    # element left unwritten would stay NaN.
+    kh, kw = weights.shape
+    padded = np.pad(img, ((kh // 2, kh // 2), (kw // 2, kw // 2)), mode="edge")
+    acc = np.full((img.shape[0], padded.shape[1]), np.nan)
+    term = np.full(acc.size, np.nan)
+    with np.errstate(all="raise"):
+        out = accumulate(padded, weights, acc, term)
+    assert out is acc
+    assert not np.isnan(acc).any()
+    valid = np.ascontiguousarray(acc[:, :img.shape[1]])
+    assert valid.tobytes() == row_major_correlate(img, weights).tobytes()
+
+
+def test_accumulate_rejects_an_acc_without_the_padded_row_stride():
+    padded = np.zeros((5, 6))
+    weights = np.ones((3, 3))
+    for acc in (np.empty((3, 4)), np.empty((3, 12))[:, ::2]):
+        with pytest.raises(ValueError, match="row stride"):
+            accumulate(padded, weights, acc)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (4, 6)])
+@pytest.mark.parametrize("kernel", [(1, 1), (1, 5), (5, 1), (7, 7)])
+def test_correlate_returns_a_c_contiguous_raster(shape, kernel):
+    img = np.arange(float(np.prod(shape))).reshape(shape)
+    out = correlate(img, np.ones(kernel))
+    assert out.shape == shape and out.flags.c_contiguous

@@ -30,7 +30,8 @@ from momentfuse.fusion import (
     pca_weights,
 )
 from momentfuse.image import quantize, widen
-from momentfuse.synthetic import complementary_blur_pair, random_texture
+from momentfuse.metrics import sobel_edges
+from momentfuse.synthetic import complementary_blur_pair, gaussian_blur_float, random_texture
 from momentfuse.validation import ShapeMismatchError
 
 
@@ -166,6 +167,33 @@ def test_swapping_sources_complements_decision_except_at_ties(pair, params, sour
     ties = fwd.moments_a == fwd.moments_b
     # A tie goes to the first source in both orders.
     assert np.array_equal(rev.decision, ~fwd.decision | ties)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pair=u8_pairs, order=st.integers(0, 2), window=st.sampled_from([1, 3, 5]),
+       magnitude=st.booleans(), source=st.sampled_from(["filtered", "original"]),
+       center=st.sampled_from([8.0, 9.0, 17.9, 40.0]))
+def test_fusion_with_equal_orders_is_transpose_equivariant(pair, order, window, magnitude,
+                                                          source, center):
+    # With p = q the mask and the moment window are symmetric, so fusing the
+    # transposed pair gives the transposed result, up to rounding: the
+    # transposed sums add the same terms in another order. Each moment sums
+    # at most window^2 + 9 rounded terms, all bounded by `bound`, so it is
+    # within ~1e-14 * bound of the exact value. Decisions must agree where
+    # the moments differ by more than the margin, 1e-9 * bound.
+    a, b = pair
+    fuser = MomentFuser(p=order, q=order, window=window, magnitude=magnitude,
+                        source=source, center=center)
+    fwd = fuser.fuse(a, b)
+    rev = fuser.fuse(np.ascontiguousarray(a.T), np.ascontiguousarray(b.T))
+    max_filtered = (abs(center) + 8.0) * 255.0 / 9.0
+    bound = fusion._moment_weights(order, order, window).sum() * max_filtered
+    margin = 1e-9 * bound
+    assert np.all(np.abs(rev.moments_a.T - fwd.moments_a) <= margin)
+    assert np.all(np.abs(rev.moments_b.T - fwd.moments_b) <= margin)
+    clear = np.abs(fwd.moments_a - fwd.moments_b) > margin
+    assert np.array_equal(rev.decision.T[clear], fwd.decision[clear])
+    assert np.all(np.abs(rev.fused_f.T[clear] - fwd.fused_f[clear]) <= 1e-9 * max_filtered)
 
 
 def test_decision_invariant_under_joint_positive_scaling():
@@ -459,7 +487,9 @@ def test_fuse_is_tiling_invariant(data, strip_pixels, window, orders, magnitude,
     a, b = data
     fuser = MomentFuser(p=orders[0], q=orders[1], window=window,
                         magnitude=magnitude, source=source, center=center)
-    with pytest.MonkeyPatch.context() as mp:
+    with pytest.MonkeyPatch.context() as mp, np.errstate(all="raise"):
+        # Raising on every floating-point flag, in every strip: the scratch
+        # columns of the strips' buffers must hold finite sums too.
         mp.setattr(fusion, "_STRIP_PIXELS", strip_pixels)
         result = fuser.fuse(a, b)
     assert_same_outputs(result, staged_fuse(fuser, a, b))
@@ -549,6 +579,19 @@ def test_run_strips_stitches_every_row_from_one_strip(monkeypatch, workers):
 
 
 @pytest.mark.parametrize("workers", [1, 3])
+def test_run_strips_runs_every_strip_under_the_callers_errstate(monkeypatch, workers):
+    monkeypatch.setattr(fusion, "_STRIP_PIXELS", 40)  # 8 strips
+    monkeypatch.setattr(fusion, "_worker_count", lambda tasks: min(tasks, workers))
+
+    def fn(top, bottom, lo, hi, keep):
+        return (np.full((bottom - top, 8), np.geterr()["under"] == "raise"),)
+
+    with np.errstate(under="raise"):  # numpy's default ignores underflow
+        raised, = fusion._run_strips(37, 8, 1, fn, (bool,))
+    assert raised.all()
+
+
+@pytest.mark.parametrize("workers", [1, 3])
 def test_run_strips_propagates_a_strip_exception(monkeypatch, workers):
     monkeypatch.setattr(fusion, "_STRIP_PIXELS", 40)
     monkeypatch.setattr(fusion, "_worker_count", lambda tasks: min(tasks, workers))
@@ -570,6 +613,37 @@ def test_worker_count_follows_cpu_affinity(monkeypatch):
     assert fusion._worker_count(10**6) == cpus
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     assert fusion._worker_count(10**6) == (os.cpu_count() or 1)
+
+
+@pytest.mark.parametrize("strip_pixels", [1 << 16, 64])  # one strip; 17 strips of 2 rows
+@pytest.mark.parametrize("window", [1, 3, 5])
+def test_every_output_array_is_c_contiguous(monkeypatch, strip_pixels, window):
+    # The fuse strips compute on buffers wider than the raster and return
+    # views of their first `width` columns; no such view may leak out.
+    monkeypatch.setattr(fusion, "_STRIP_PIXELS", strip_pixels)
+    rng = np.random.default_rng(31)
+    a, b = rng.integers(0, 256, size=(2, 33, 29), dtype=np.uint8)
+    outputs = {}
+    fusers = [MomentFuser(window=window, source=source, magnitude=magnitude)
+              for source in ("filtered", "original") for magnitude in (True, False)]
+    for fuser in fusers + [AverageFuser(), PcaFuser()]:
+        result = fuser.fuse(a, b)
+        for name, value in vars(result).items():
+            if isinstance(value, np.ndarray):
+                outputs[f"{fuser!r}.{name}"] = value
+    edges = sobel_edges(a)
+    filtered = preprocess(a)
+    outputs.update({
+        "strength": edges.strength,
+        "orientation": edges.orientation,
+        "preprocess": filtered,
+        "convolve3": convolve3(widen(a), high_boost_mask()),
+        "local_moment_map": local_moment_map(filtered, window=window),
+        "gaussian_blur_float": gaussian_blur_float(widen(a), 1.3),
+    })
+    assert len(outputs) == 4 * 5 + 2 * 2 + 6
+    for name, out in outputs.items():
+        assert out.shape == a.shape and out.flags.c_contiguous, name
 
 
 def fusion_digest(result):
