@@ -49,8 +49,10 @@ def correlate(arr: np.ndarray, weights: np.ndarray) -> np.ndarray:
     out(r, c) = sum_{i,j} weights(i, j) * padded(r + i, c + j), where the
     raster is edge-padded by kh//2 rows and kw//2 columns. `arr` is a 2-D
     float64 raster, or a uint8 one, which widens exactly as it is copied
-    into the padded buffer; callers validate it. The mask, moment window
-    and blur run through here; Sobel has exact int16 passes of its own.
+    into the padded buffer; callers validate it. The public mask and
+    moment window run through here; the strip-tiled fuse and synthetic
+    blur call `pad_edges` and `accumulate` themselves, and Sobel has exact
+    int16 passes of its own.
     Returns a C-contiguous float64 raster of `arr`'s shape.
     """
     kh, kw = weights.shape

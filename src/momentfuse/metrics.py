@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fusion import _run_strips
-from .image import joint_counts, pad_edges, widen
+from .image import joint_counts, pad_edges
 from .validation import check_image_u8, check_same_shape
 
 
@@ -34,7 +34,9 @@ def entropy(img: np.ndarray) -> float:
 
 def std_dev(img: np.ndarray) -> float:
     """Population standard deviation of the samples; a contrast proxy."""
-    return float(np.std(widen(img)))
+    # np.std sums integer samples, and their deviations from the mean, in
+    # float64: the bits of the widened raster's, with no float64 copy of it.
+    return float(np.std(check_image_u8(img)))
 
 
 def joint_histogram(a: np.ndarray, f: np.ndarray) -> np.ndarray:

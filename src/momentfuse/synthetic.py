@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image import correlate, quantize, widen
+from .fusion import _run_strips
+from .image import accumulate, pad_edges, round_u8
 from .validation import check_image_u8
 
 
@@ -23,6 +24,43 @@ def _gaussian_kernel1d(sigma: float) -> np.ndarray:
     return kernel / kernel.sum()
 
 
+def _blur(arr: np.ndarray, sigma: float, dtype) -> np.ndarray:
+    """Separable Gaussian blur of a 2-D raster with replicate borders, in
+    row strips; a uint8 `dtype` rounds each strip with `round_u8`.
+
+    Each pixel gets the vertical taps, then the horizontal ones, in the
+    order and with the bits of `correlate` with kernel[:, None] and then
+    kernel[None, :] on the full raster.
+    """
+    kernel = _gaussian_kernel1d(sigma)
+    radius = len(kernel) // 2
+    height, width = arr.shape
+    stride = width + 2 * radius
+
+    def blur_strip(top, bottom, lo, hi, keep):
+        rows = bottom - top
+        pad_top = radius - (top - lo)
+        term = np.empty((rows, stride))  # one product buffer for both passes
+        # Rows [lo, hi) widen as they are copied in, and pad_edges repeats
+        # the edge rows where the kernel reaches past the image. It also
+        # repeats the edge columns, so the vertical taps give the pad
+        # columns the bits of the blurred edge columns, which is what the
+        # horizontal taps read there.
+        padded = np.empty((rows + 2 * radius, stride))
+        padded[pad_top:pad_top + hi - lo, radius:radius + width] = arr[lo:hi]
+        pad_edges(padded, pad_top, radius, hi - lo, width)
+        vertical = accumulate(padded, kernel[:, None], np.empty((rows, stride)), term)
+        # The horizontal pass writes over the first rows of `padded`, which
+        # the vertical pass has finished reading.
+        blurred = accumulate(vertical, kernel[None, :], padded[:rows], term)[:, :width]
+        # A blur of uint8 samples is finite, so rounding skips quantize's
+        # scan.
+        return (round_u8(blurred) if dtype == np.uint8 else blurred,)
+
+    # An output row reads the input rows within the kernel's radius.
+    return _run_strips(height, width, radius, blur_strip, (dtype,))[0]
+
+
 def gaussian_blur_float(arr: np.ndarray, sigma: float) -> np.ndarray:
     """Separable Gaussian blur of a float raster with replicate borders.
 
@@ -30,14 +68,13 @@ def gaussian_blur_float(arr: np.ndarray, sigma: float) -> np.ndarray:
     """
     if sigma <= 0.0:
         return np.array(arr, copy=True, dtype=np.float64)
-    kernel = _gaussian_kernel1d(sigma)
-    rows = correlate(np.asarray(arr, dtype=np.float64), kernel[:, None])
-    return correlate(rows, kernel[None, :])
+    return _blur(np.asarray(arr), sigma, np.float64)
 
 
 def gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
     """Gaussian blur of an 8-bit raster, requantized to 8 bits."""
-    return quantize(gaussian_blur_float(widen(img), sigma))
+    img = check_image_u8(img)
+    return img.copy() if sigma <= 0.0 else _blur(img, sigma, np.uint8)
 
 
 @dataclass
@@ -81,18 +118,23 @@ def random_texture(height: int, width: int, rng: np.random.Generator) -> np.ndar
     between keep the content piecewise-constant with crisp full-range
     boundaries. Tile sides (8 to 16 pixels) and levels (90 to 190) are drawn
     from rng."""
-    img = np.zeros((height, width))
+    img = np.empty((height, width), np.uint8)
     row = 0
     while row < height:
         tile_h = int(rng.integers(8, 17))
+        widths, levels = [], []
         col = 0
         while col < width:
             tile_w = int(rng.integers(8, 17))
-            img[row:row + tile_h, col:col + tile_w] = rng.uniform(90.0, 190.0)
+            widths.append(tile_w)
+            levels.append(rng.uniform(90.0, 190.0))
             col += tile_w
+        # One band of tiles: each level rounds once, then repeats across
+        # its tile's columns and down the band's rows.
+        img[row:row + tile_h] = np.repeat(round_u8(np.array(levels)), widths)[:width]
         row += tile_h
     img[::3, ::3] = 15
-    return quantize(img)
+    return img
 
 
 def synthesize_pairs(n_pairs: int, sigma: float, seed: int,

@@ -122,6 +122,18 @@ def test_std_dev_matches_two_pass_oracle():
     assert std_dev((255 - img).astype(np.uint8)) == pytest.approx(std_dev(img), abs=1e-9)
 
 
+@settings(max_examples=200, deadline=None)
+@given(img=st.tuples(st.integers(1, 40), st.integers(1, 40)).flatmap(
+    lambda shape: arrays(np.uint8, shape)))
+@example(img=np.zeros((1, 1), np.uint8))
+@example(img=np.full((1, 1), 255, np.uint8))
+@example(img=np.full((9, 13), 77, np.uint8))
+def test_std_dev_has_the_bits_of_the_widened_raster(img):
+    # std_dev takes np.std of the uint8 raster itself; numpy sums it and its
+    # deviations in float64, so the result is the widened raster's to the bit.
+    assert np.float64(std_dev(img)).tobytes() == np.std(image.widen(img)).tobytes()
+
+
 def test_mi_self_equals_entropy():
     rng = np.random.default_rng(19)
     for _ in range(5):

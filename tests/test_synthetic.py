@@ -2,8 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from momentfuse import fusion
+from momentfuse.image import correlate, quantize, widen
 from momentfuse.synthetic import (
+    _gaussian_kernel1d,
     complementary_blur_pair,
     gaussian_blur,
     gaussian_blur_float,
@@ -44,6 +49,83 @@ def test_blur_kernel_mass_is_one():
     out = gaussian_blur_float(img, 1.5)
     assert out.sum() == pytest.approx(900.0, rel=1e-12)
     assert out[10, 10] < 900.0
+
+
+def full_raster_blur(arr, sigma):
+    """Oracle: the separable blur as two `correlate` passes over the whole
+    raster, the vertical one first."""
+    kernel = _gaussian_kernel1d(sigma)
+    return correlate(correlate(arr, kernel[:, None]), kernel[None, :])
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("sigma", [0.1, 0.7, 1.3, 2.0, 3.5])
+@pytest.mark.parametrize("width", [2, 3])
+@pytest.mark.parametrize("height", [1, 2, 3, 4, 5])
+def test_blur_in_one_row_strips_matches_full_raster(monkeypatch, height, width, sigma, workers):
+    # Each strip is one row, and at sigma 3.5 the kernel's radius (11)
+    # reaches past the strip and the whole raster: the halo rows are all
+    # replicate padding.
+    monkeypatch.setattr(fusion, "_STRIP_PIXELS", 1)
+    monkeypatch.setattr(fusion, "_worker_count", lambda tasks: min(tasks, workers))
+    rng = np.random.default_rng(height * 10 + width)
+    img = rng.integers(0, 256, size=(height, width), dtype=np.uint8)
+    values = rng.normal(0.0, 100.0, size=(height, width))
+    with np.errstate(all="raise"):
+        expected_u8 = quantize(full_raster_blur(widen(img), sigma))
+        expected_f = full_raster_blur(values, sigma)
+        blurred_u8 = gaussian_blur(img, sigma)
+        blurred_f = gaussian_blur_float(values, sigma)
+    assert blurred_u8.dtype == np.uint8 and blurred_u8.flags.c_contiguous
+    assert blurred_u8.tobytes() == expected_u8.tobytes()
+    assert blurred_f.dtype == np.float64 and blurred_f.flags.c_contiguous
+    assert blurred_f.tobytes() == expected_f.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(shape=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+       sigma=st.floats(0.1, 4.0), seed=st.integers(0, 2**32 - 1),
+       strip_pixels=st.sampled_from([1, 7, 64, 1 << 16]), workers=st.sampled_from([1, 3]))
+def test_blur_is_tiling_invariant(shape, sigma, seed, strip_pixels, workers):
+    img = np.random.default_rng(seed).integers(0, 256, size=shape, dtype=np.uint8)
+    with pytest.MonkeyPatch.context() as mp, np.errstate(all="raise"):
+        mp.setattr(fusion, "_STRIP_PIXELS", strip_pixels)
+        mp.setattr(fusion, "_worker_count", lambda tasks: min(tasks, workers))
+        blurred_u8 = gaussian_blur(img, sigma)
+        blurred_f = gaussian_blur_float(widen(img), sigma)
+        expected = full_raster_blur(widen(img), sigma)
+        assert blurred_u8.tobytes() == quantize(expected).tobytes()
+    assert blurred_f.tobytes() == expected.tobytes()
+
+
+def float_canvas_texture(height, width, rng):
+    """Oracle: the test card painted on a float canvas and quantized once,
+    drawing from rng in the same order as `random_texture`."""
+    img = np.zeros((height, width))
+    row = 0
+    while row < height:
+        tile_h = int(rng.integers(8, 17))
+        col = 0
+        while col < width:
+            tile_w = int(rng.integers(8, 17))
+            img[row:row + tile_h, col:col + tile_w] = rng.uniform(90.0, 190.0)
+            col += tile_w
+        row += tile_h
+    img[::3, ::3] = 15
+    return quantize(img)
+
+
+@settings(max_examples=200, deadline=None)
+@given(height=st.integers(1, 70), width=st.integers(1, 70), seed=st.integers(0, 2**63))
+def test_random_texture_matches_float_canvas(height, width, seed):
+    # Equal generator states afterwards mean that synthesize_pairs draws
+    # the same seams after each texture.
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    card = random_texture(height, width, rng)
+    expected = float_canvas_texture(height, width, oracle_rng)
+    assert card.dtype == np.uint8 and card.shape == (height, width)
+    assert card.tobytes() == expected.tobytes()
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 def test_pair_sides_and_ground_truth():
