@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .filters import DEFAULT_CENTER_WEIGHT, high_boost_mask
-from .image import accumulate, correlate, joint_counts, pad_edges, round_u8
+from .image import accumulate, correlate, joint_counts, pad_edges, padded_rows, round_u8
 from .validation import (
     check_image_float,
     check_image_u8,
@@ -89,32 +89,28 @@ def _worker_count(tasks: int) -> int:
     return min(tasks, cpus)
 
 
-def _run_strips(height: int, width: int, halo: int, fn, dtypes) -> tuple:
-    """Call fn(top, bottom, lo, hi, keep) once per row strip of a raster and
-    return the outputs full-size, one array per entry of `dtypes`.
+def _run_strips(height: int, width: int, fn, dtypes) -> tuple:
+    """Call fn(top, bottom) once per row strip of a raster and return the
+    outputs full-size, one array per entry of `dtypes`.
 
-    A strip makes output rows [top, bottom) from input rows [lo, hi): its
-    rows plus `halo` rows on each side, clipped at the image edge, with
-    `keep` slicing its own rows out of them. Clipping reproduces replicate
-    padding, so a stencil whose vertical reach is at most `halo` gives the
-    same bits strip by strip as on the full raster. `fn` returns its rows of
-    each output and writes into nothing shared; a block may be a strided
-    view, such as the first `width` columns of a wider buffer.
+    `fn` returns rows [top, bottom) of each output and writes into nothing
+    shared; a block may be a strided view, such as the first `width`
+    columns of a wider buffer. A stencil reads the rows around its strip
+    through `padded_rows`, which repeats the edge row where they leave the
+    raster, so it gives the same bits strip by strip as on the full raster.
 
     A raster that fits one strip gets `fn`'s own arrays, allocated after the
     kernel's temporaries: allocated first, they made a 256^2 `run_pair`
     slower, through more page faults as the C heap grew. A block that is not
-    C-contiguous is copied, so every output is. Otherwise the
-    outputs are allocated before any strip runs, strips of about
+    C-contiguous is copied, so every output is. Otherwise the outputs are
+    allocated before any strip runs, strips of about
     `_STRIP_PIXELS` pixels run on one thread per CPU (inline on one CPU),
     and each copies its rows in.
     """
     rows = max(1, _STRIP_PIXELS // width)
 
     def strip(top):
-        bottom = min(top + rows, height)
-        lo, hi = max(0, top - halo), min(height, bottom + halo)
-        return fn(top, bottom, lo, hi, slice(top - lo, bottom - lo))
+        return fn(top, min(top + rows, height))
 
     if height <= rows:
         return tuple(np.ascontiguousarray(out) for out in strip(0))
@@ -233,15 +229,14 @@ class MomentFuser(Fuser):
         # flat slice; columns past `width` are scratch.
         stride = width + 2 * max(1, reach)
 
-        def fuse_strip(top, bottom, lo, hi, keep):
+        def fuse_strip(top, bottom):
             # The mask filters rows [f0, f1): the strip's own rows and the
-            # rows the moment window reads around them. It reads source rows
-            # [lo, hi), one more on each side, and the moment window reads
-            # its rows, reach more on each side; both buffers repeat the
-            # edge row where those rows would leave the image.
+            # image rows the moment window reads around them. It reads one
+            # more source row on each side, and the moment window reads the
+            # filtered rows, reach more on each side; both buffers repeat
+            # the edge row where those rows would leave the image.
             f0, f1 = max(0, top - reach), min(height, bottom + reach)
-            source_top, moment_top = 1 - (f0 - lo), reach - (top - f0)
-            source_rows = np.empty((f1 - f0 + 2, stride))
+            moment_top = reach - (top - f0)
             moment_rows = np.empty((bottom - top + 2 * reach, stride))
             term = np.empty((f1 - f0) * stride)  # one product buffer for every pass
             # filtered[r, c] goes to moment_rows[moment_top + r, reach + c]:
@@ -253,9 +248,7 @@ class MomentFuser(Fuser):
             inner = moment_rows.reshape(-1)[offset:offset + count]
 
             def moments(src):
-                # The uint8 rows widen exactly as they are copied in.
-                source_rows[source_top:source_top + hi - lo, 1:width + 1] = src[lo:hi]
-                pad_edges(source_rows, source_top, 1, hi - lo, width)
+                source_rows = padded_rows(src, f0 - 1, f1 + 1, 1, stride)
                 filtered = accumulate(source_rows, mask.coeffs, np.empty((f1 - f0, stride)), term)
                 filtered *= mask.scale
                 if self.magnitude:
@@ -278,11 +271,8 @@ class MomentFuser(Fuser):
                 fused_f = fused_u8.astype(np.float64)
             return fused_u8, fused_f, select_a, ma[:, :width], mb[:, :width]
 
-        # Output row r depends on source rows r +- halo: the mask reaches one
-        # row, the moment window half its side.
         fused_u8, fused_f, decision, ma, mb = _run_strips(
-            height, width, 1 + reach, fuse_strip,
-            (np.uint8, np.float64, bool, np.float64, np.float64))
+            height, width, fuse_strip, (np.uint8, np.float64, bool, np.float64, np.float64))
         return FusionResult(fused_u8=fused_u8, fused_f=fused_f, method="moment",
                             decision=decision, moments_a=ma, moments_b=mb)
 
@@ -290,7 +280,7 @@ class MomentFuser(Fuser):
 def _blend(a: np.ndarray, b: np.ndarray, wa: float, wb: float) -> tuple:
     """(fused_u8, fused_f) of the blend wa * a + wb * b of a checked uint8
     pair, one row strip at a time."""
-    def blend_strip(top, bottom, lo, hi, keep):
+    def blend_strip(top, bottom):
         # uint8 samples widen exactly, so these are the bits of the
         # full-raster expression wa * widen(a) + wb * widen(b).
         fused_f = a[top:bottom].astype(np.float64)
@@ -300,8 +290,7 @@ def _blend(a: np.ndarray, b: np.ndarray, wa: float, wb: float) -> tuple:
         fused_f += term
         return round_u8(fused_f), fused_f
 
-    # Each output pixel depends on its own source pixels only: no halo.
-    return _run_strips(*a.shape, 0, blend_strip, (np.uint8, np.float64))
+    return _run_strips(*a.shape, blend_strip, (np.uint8, np.float64))
 
 
 @dataclass(eq=False)

@@ -1,5 +1,5 @@
-"""Raster primitives: replicate padding into caller-owned buffers, the
-stencil correlation, joint level counts, widening and 8-bit quantization.
+"""Raster primitives: replicate-padded row reads, the stencil correlation,
+joint level counts, widening and 8-bit quantization.
 
 All fusion arithmetic runs in float64 and is only quantized once, when an
 8-bit output raster is actually needed.
@@ -19,10 +19,21 @@ def pad(img: np.ndarray, margin: int) -> np.ndarray:
     if margin < 0:
         raise ValueError(f"margin must be >= 0, got {margin}")
     img = np.asarray(img)
-    h, w = img.shape
-    padded = np.empty((h + 2 * margin, w + 2 * margin), img.dtype)
-    padded[margin:margin + h, margin:margin + w] = img
-    return pad_edges(padded, margin, margin, h, w)
+    return padded_rows(img, -margin, img.shape[0] + margin, margin, dtype=img.dtype)
+
+
+def padded_rows(src: np.ndarray, start: int, stop: int, margin: int,
+                stride: int | None = None, dtype=np.float64) -> np.ndarray:
+    """Rows [start, stop) of a 2-D raster under replicate padding: a new
+    C-contiguous `dtype` buffer of `stride` columns (default
+    width + 2 * margin) that holds the raster's columns at [margin,
+    margin + width). Rows and columns outside the raster repeat its edge;
+    [start, stop) must overlap it. uint8 samples widen exactly."""
+    height, width = src.shape
+    lo, hi = max(0, start), min(height, stop)
+    out = np.empty((stop - start, width + 2 * margin if stride is None else stride), dtype)
+    out[lo - start:hi - start, margin:margin + width] = src[lo:hi]
+    return pad_edges(out, lo - start, margin, hi - lo, width)
 
 
 def pad_edges(padded: np.ndarray, top: int, left: int, height: int, width: int) -> np.ndarray:
@@ -31,8 +42,8 @@ def pad_edges(padded: np.ndarray, top: int, left: int, height: int, width: int) 
     written, by repeating the block's nearest pixel (replicate padding);
     return `padded`.
 
-    The margins may differ per side, so a row strip pads only the sides
-    where it meets the image's edge.
+    The margins may differ per side, so `padded_rows` pads rows only where
+    a strip meets the raster's edge.
     """
     rows = padded[top:top + height]
     rows[:, :left] = rows[:, left:left + 1]
@@ -48,18 +59,15 @@ def correlate(arr: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
     out(r, c) = sum_{i,j} weights(i, j) * padded(r + i, c + j), where the
     raster is edge-padded by kh//2 rows and kw//2 columns. `arr` is a 2-D
-    float64 raster, or a uint8 one, which widens exactly as it is copied
-    into the padded buffer; callers validate it. The public mask and
+    float64 or uint8 raster; callers validate it. The public mask and
     moment window run through here; the strip-tiled fuse and synthetic
-    blur call `pad_edges` and `accumulate` themselves, and Sobel has exact
-    int16 passes of its own.
+    blur call `padded_rows` and `accumulate` themselves, and Sobel has
+    exact int16 passes of its own.
     Returns a C-contiguous float64 raster of `arr`'s shape.
     """
     kh, kw = weights.shape
     h, w = arr.shape
-    padded = np.empty((h + kh - 1, w + kw - 1))
-    padded[kh // 2:kh // 2 + h, kw // 2:kw // 2 + w] = arr
-    pad_edges(padded, kh // 2, kw // 2, h, w)
+    padded = padded_rows(arr, -(kh // 2), h + kh // 2, kw // 2)
     acc = accumulate(padded, weights, np.empty((h, w + kw - 1)))
     return np.ascontiguousarray(acc[:, :w])  # no copy when kw == 1
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fusion import _run_strips
-from .image import joint_counts, pad_edges
+from .image import joint_counts, padded_rows
 from .validation import check_image_u8, check_same_shape
 
 
@@ -86,12 +86,11 @@ def sobel_edges(img: np.ndarray) -> EdgeMap:
     """
     arr = check_image_u8(img)
 
-    def strip_edges(top, bottom, lo, hi, keep):
-        edges = _sobel(arr[lo:hi], keep)
+    def strip_edges(top, bottom):
+        edges = _sobel(arr, top, bottom)
         return edges.strength, edges.orientation
 
-    # Sobel reaches one row up and down, so row strips need a 1-row halo.
-    return EdgeMap(*_run_strips(*arr.shape, 1, strip_edges, (np.float64, np.float64)))
+    return EdgeMap(*_run_strips(*arr.shape, strip_edges, (np.float64, np.float64)))
 
 
 def _edge_rows(edges: EdgeMap, top: int, bottom: int) -> EdgeMap:
@@ -99,16 +98,11 @@ def _edge_rows(edges: EdgeMap, top: int, bottom: int) -> EdgeMap:
     return EdgeMap(edges.strength[top:bottom], edges.orientation[top:bottom])
 
 
-def _sobel(rows_u8: np.ndarray, keep: slice) -> EdgeMap:
-    """`sobel_edges` of the rows `keep` of a uint8 row strip, without the checks."""
+def _sobel(img: np.ndarray, top: int, bottom: int) -> EdgeMap:
+    """Rows [top, bottom) of `sobel_edges` of a uint8 raster, without the checks."""
     # On uint8 samples every partial sum is an integer in [-1020, 1020], so the
     # int16 derivatives equal the 3x3 float stencil bit for bit.
-    start, stop, _ = keep.indices(len(rows_u8))
-    lo, hi = max(0, start - 1), min(len(rows_u8), stop + 1)
-    top = 1 - (start - lo)  # 1 where the rows meet the strip's top edge
-    padded = np.empty((stop - start + 2, rows_u8.shape[1] + 2), np.int16)
-    padded[top:top + hi - lo, 1:-1] = rows_u8[lo:hi]
-    pad_edges(padded, top, 1, hi - lo, rows_u8.shape[1])
+    padded = padded_rows(img, top - 1, bottom + 1, 1, dtype=np.int16)
     sx = _sobel_x(padded)
     sy = _sobel_x(padded.T).T  # the y kernel is the x kernel transposed
     return EdgeMap(strength=np.hypot(sx, sy), orientation=_orientation(sx, sy))
@@ -269,8 +263,8 @@ def qabf(a: np.ndarray, b: np.ndarray, f: np.ndarray,
     # The fused raster's edges exist one row strip at a time. The per-pixel
     # scores are stitched into one full-size buffer that is summed at once: a
     # sum per strip would add in another order and change the last bit.
-    def score_rows(top, bottom, lo, hi, keep):
-        edges_f = _sobel(f[lo:hi], keep)
+    def score_rows(top, bottom):
+        edges_f = _sobel(f, top, bottom)
         kept = _preservation(_edge_rows(edges_a, top, bottom), edges_f, k)
         kept *= weight_a[top:bottom]
         kept_b = _preservation(_edge_rows(edges_b, top, bottom), edges_f, k)
@@ -278,7 +272,7 @@ def qabf(a: np.ndarray, b: np.ndarray, f: np.ndarray,
         kept += kept_b
         return (kept,)
 
-    kept, = _run_strips(*f.shape, 1, score_rows, (np.float64,))
+    kept, = _run_strips(*f.shape, score_rows, (np.float64,))
     return float(np.sum(kept) / total), False
 
 

@@ -13,15 +13,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fusion import _run_strips
-from .image import accumulate, pad_edges, round_u8
+from .image import accumulate, padded_rows, round_u8
 from .validation import check_image_u8
 
 
 def _gaussian_kernel1d(sigma: float) -> np.ndarray:
+    """2r + 1 normalized Gaussian taps, r = max(1, ceil(3 sigma)), from
+    `math.exp` and the correctly rounded `math.fsum`: numpy's `exp` gives
+    other last bits at other SIMD levels."""
     radius = max(1, int(math.ceil(3.0 * sigma)))
-    offsets = np.arange(-radius, radius + 1, dtype=np.float64)
-    kernel = np.exp(-(offsets ** 2) / (2.0 * sigma * sigma))
-    return kernel / kernel.sum()
+    taps = np.array([math.exp(-(k * k) / (2.0 * sigma * sigma))
+                     for k in range(-radius, radius + 1)])
+    return taps / math.fsum(taps)
+
+
+def _check_sigma(sigma: float) -> float:
+    """Raise ValueError unless the blur sigma is finite; return it."""
+    if not math.isfinite(sigma):
+        raise ValueError(f"sigma must be finite, got {sigma}")
+    return sigma
 
 
 def _blur(arr: np.ndarray, sigma: float, dtype) -> np.ndarray:
@@ -37,18 +47,13 @@ def _blur(arr: np.ndarray, sigma: float, dtype) -> np.ndarray:
     height, width = arr.shape
     stride = width + 2 * radius
 
-    def blur_strip(top, bottom, lo, hi, keep):
+    def blur_strip(top, bottom):
         rows = bottom - top
-        pad_top = radius - (top - lo)
         term = np.empty((rows, stride))  # one product buffer for both passes
-        # Rows [lo, hi) widen as they are copied in, and pad_edges repeats
-        # the edge rows where the kernel reaches past the image. It also
-        # repeats the edge columns, so the vertical taps give the pad
-        # columns the bits of the blurred edge columns, which is what the
-        # horizontal taps read there.
-        padded = np.empty((rows + 2 * radius, stride))
-        padded[pad_top:pad_top + hi - lo, radius:radius + width] = arr[lo:hi]
-        pad_edges(padded, pad_top, radius, hi - lo, width)
+        # The edge columns are repeated too, so the vertical taps give the
+        # pad columns the blurred edge columns' bits, which the horizontal
+        # taps read there.
+        padded = padded_rows(arr, top - radius, bottom + radius, radius)
         vertical = accumulate(padded, kernel[:, None], np.empty((rows, stride)), term)
         # The horizontal pass writes over the first rows of `padded`, which
         # the vertical pass has finished reading.
@@ -57,24 +62,24 @@ def _blur(arr: np.ndarray, sigma: float, dtype) -> np.ndarray:
         # scan.
         return (round_u8(blurred) if dtype == np.uint8 else blurred,)
 
-    # An output row reads the input rows within the kernel's radius.
-    return _run_strips(height, width, radius, blur_strip, (dtype,))[0]
+    return _run_strips(height, width, blur_strip, (dtype,))[0]
 
 
 def gaussian_blur_float(arr: np.ndarray, sigma: float) -> np.ndarray:
     """Separable Gaussian blur of a float raster with replicate borders.
 
-    sigma <= 0 returns an unmodified copy.
+    sigma <= 0 returns an unmodified copy; a non-finite one raises ValueError.
     """
-    if sigma <= 0.0:
+    if _check_sigma(sigma) <= 0.0:
         return np.array(arr, copy=True, dtype=np.float64)
     return _blur(np.asarray(arr), sigma, np.float64)
 
 
 def gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
-    """Gaussian blur of an 8-bit raster, requantized to 8 bits."""
+    """Gaussian blur of an 8-bit raster, requantized to 8 bits; sigma as in
+    `gaussian_blur_float`."""
     img = check_image_u8(img)
-    return img.copy() if sigma <= 0.0 else _blur(img, sigma, np.uint8)
+    return img.copy() if _check_sigma(sigma) <= 0.0 else _blur(img, sigma, np.uint8)
 
 
 @dataclass
@@ -148,6 +153,7 @@ def synthesize_pairs(n_pairs: int, sigma: float, seed: int,
     """
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
+    _check_sigma(sigma)
     if base is not None:
         base = check_image_u8(base, "base image")
         height, width = base.shape

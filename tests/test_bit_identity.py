@@ -39,7 +39,7 @@ EXPECTED = {
     "sobel_orientation":
         "622d3fd35d937011105cdea2e413aa1004cad3c5cf9803f731fcaf9f0a416c35",
     "gaussian_blur_1.3":
-        "0a6089e7351531edc6fed2fd77b4425d3f4f614e327fa380e6f20ecf7c9c5c94",
+        "1c6eb1a5b687c0c1277c1cd92bd12624a4d0c347fb56dfe4c92b1cd8fb596900",
     "fuse_fused_f":
         "fee7cd5d5cd356a77c05c33c8187ac47373d28ca8381053f7a3331ad162f643e",
     "fuse_decision":

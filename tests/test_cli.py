@@ -128,6 +128,15 @@ def test_synth_then_batch_csv(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("sigma", ["inf", "nan"])
+def test_synth_with_non_finite_sigma_exits_1(tmp_path, capsys, sigma):
+    out_dir = tmp_path / "pairs"
+    assert main(["synth", "--out-dir", str(out_dir), "--sigma", sigma]) == 1
+    err = capsys.readouterr().err
+    assert err == f"momentfuse: error: sigma must be finite, got {sigma}\n"
+    assert not out_dir.exists()
+
+
 def test_batch_summary_counts_distinct_methods(tmp_path, capsys):
     base = tmp_path / "base.pgm"
     write_pgm(base, random_texture(16, 16, np.random.default_rng(3)))

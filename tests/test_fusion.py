@@ -540,12 +540,12 @@ def test_run_strips_gives_one_strip_its_own_arrays(monkeypatch, workers):
     monkeypatch.setattr(fusion, "_worker_count", lambda tasks: min(tasks, workers))
     made = []
 
-    def fn(top, bottom, lo, hi, keep):
-        assert (top, bottom, lo, hi, keep) == (0, 8, 0, 8, slice(0, 8))
+    def fn(top, bottom):
+        assert (top, bottom) == (0, 8)
         made.append((np.ones((8, 8), bool), np.arange(64.0).reshape(8, 8)))
         return made[-1]
 
-    outputs = fusion._run_strips(8, 8, 1, fn, (bool, np.float64))
+    outputs = fusion._run_strips(8, 8, fn, (bool, np.float64))
     assert len(made) == 1 and len(outputs) == 2
     assert all(out is block for out, block in zip(outputs, made[0]))
 
@@ -554,19 +554,16 @@ def test_run_strips_gives_one_strip_its_own_arrays(monkeypatch, workers):
 def test_run_strips_stitches_every_row_from_one_strip(monkeypatch, workers):
     monkeypatch.setattr(fusion, "_STRIP_PIXELS", 40)  # 8 strips of 5 rows, the last of 2
     monkeypatch.setattr(fusion, "_worker_count", lambda tasks: min(tasks, workers))
-    height, width, halo = 37, 8, 2
+    height, width = 37, 8
     strips = []
 
-    def fn(top, bottom, lo, hi, keep):
-        assert (lo, hi) == (max(0, top - halo), min(height, bottom + halo))
-        assert list(range(lo, hi))[keep] == list(range(top, bottom))
+    def fn(top, bottom):
         strips.append((top, bottom))
         rows = np.arange(top, bottom)[:, None].repeat(width, axis=1)
         return rows % 2 == 0, np.full(rows.shape, top, np.uint8), rows * 1.5
 
     threads = threading.active_count()
-    even, tops, scaled = fusion._run_strips(height, width, halo, fn,
-                                            (bool, np.uint8, np.float64))
+    even, tops, scaled = fusion._run_strips(height, width, fn, (bool, np.uint8, np.float64))
     assert threading.active_count() == threads
     assert sorted(strips) == [(top, min(top + 5, height)) for top in range(0, height, 5)]
     rows = np.arange(height)[:, None].repeat(width, axis=1)
@@ -583,11 +580,11 @@ def test_run_strips_runs_every_strip_under_the_callers_errstate(monkeypatch, wor
     monkeypatch.setattr(fusion, "_STRIP_PIXELS", 40)  # 8 strips
     monkeypatch.setattr(fusion, "_worker_count", lambda tasks: min(tasks, workers))
 
-    def fn(top, bottom, lo, hi, keep):
+    def fn(top, bottom):
         return (np.full((bottom - top, 8), np.geterr()["under"] == "raise"),)
 
     with np.errstate(under="raise"):  # numpy's default ignores underflow
-        raised, = fusion._run_strips(37, 8, 1, fn, (bool,))
+        raised, = fusion._run_strips(37, 8, fn, (bool,))
     assert raised.all()
 
 
@@ -596,14 +593,14 @@ def test_run_strips_propagates_a_strip_exception(monkeypatch, workers):
     monkeypatch.setattr(fusion, "_STRIP_PIXELS", 40)
     monkeypatch.setattr(fusion, "_worker_count", lambda tasks: min(tasks, workers))
 
-    def fn(top, bottom, lo, hi, keep):
+    def fn(top, bottom):
         if top == 15:
             raise RuntimeError("strip at row 15 failed")
         return (np.zeros((bottom - top, 8)),)
 
     threads = threading.active_count()
     with pytest.raises(RuntimeError, match="strip at row 15 failed"):
-        fusion._run_strips(37, 8, 1, fn, (np.float64,))
+        fusion._run_strips(37, 8, fn, (np.float64,))
     assert threading.active_count() == threads
 
 

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from momentfuse.image import pad, pad_edges, quantize, widen
+from momentfuse.image import pad, pad_edges, padded_rows, quantize, widen
 
 
 def test_pad_single_pixel_replicates():
@@ -50,6 +53,49 @@ def test_pad_edges_matches_edge_padding_per_side(top, bottom, left, right):
     padded[top:top + 3, left:left + 4] = img
     assert pad_edges(padded, top, left, 3, 4) is padded
     assert np.array_equal(padded, np.pad(img, ((top, bottom), (left, right)), mode="edge"))
+
+
+def edge_padded_window(src, start, stop, margin, stride):
+    """Oracle: rows [start, stop) of `src` edge-padded by np.pad, with
+    `margin` columns on the left and enough on the right to fill `stride`."""
+    height, width = src.shape
+    above, below = max(0, -start), max(0, stop - height)
+    full = np.pad(src, ((above, below), (margin, stride - width - margin)), mode="edge")
+    return full[start + above:stop + above]
+
+
+# (source dtype, buffer dtype): uint8 widens into float64 (the float
+# stencils) and int16 (Sobel); float64 copies as it is.
+_COPIES = [(np.uint8, np.float64), (np.uint8, np.int16), (np.float64, np.float64)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(shape=st.tuples(st.integers(1, 8), st.integers(1, 8)), margin=st.integers(0, 10),
+       extra=st.integers(0, 5), copy=st.sampled_from(_COPIES), data=st.data())
+def test_padded_rows_is_a_window_of_the_edge_padded_raster(shape, margin, extra, copy, data):
+    # The row range may start above the raster and end below it, by more
+    # rows than the raster has, and the stride may exceed width + 2 * margin.
+    src_dtype, dtype = copy
+    src = data.draw(arrays(src_dtype, shape, elements=st.floats(-1e6, 1e6)
+                           if src_dtype == np.float64 else None))
+    height, width = shape
+    start = data.draw(st.integers(-12, height - 1))
+    stop = data.draw(st.integers(max(start, 0) + 1, height + 12))
+    stride = width + 2 * margin + extra
+    out = padded_rows(src, start, stop, margin, stride, dtype)
+    expected = edge_padded_window(src, start, stop, margin, stride).astype(dtype)
+    assert out.dtype == dtype and out.flags.c_contiguous and out.shape == expected.shape
+    assert out.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("start, stop, margin", [(-5, 6, 4), (-1, 2, 9), (0, 1, 3), (-3, 1, 0)])
+def test_padded_rows_of_one_row_raster_repeats_it(start, stop, margin):
+    # The margin, and the rows read above and below, exceed the raster.
+    src = np.array([[3, 250, 7]], np.uint8)
+    out = padded_rows(src, start, stop, margin)
+    expected = edge_padded_window(src, start, stop, margin, 3 + 2 * margin)
+    assert out.dtype == np.float64 and out.shape == (stop - start, 3 + 2 * margin)
+    assert np.array_equal(out, expected) and (out == out[0]).all()
 
 
 def test_quantize_clamp_and_round():

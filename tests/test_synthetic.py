@@ -1,10 +1,17 @@
 """Synthetic pair construction: blur, seams, ground truth, determinism."""
 
+import math
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import momentfuse
 from momentfuse import fusion
 from momentfuse.image import correlate, quantize, widen
 from momentfuse.synthetic import (
@@ -49,6 +56,43 @@ def test_blur_kernel_mass_is_one():
     out = gaussian_blur_float(img, 1.5)
     assert out.sum() == pytest.approx(900.0, rel=1e-12)
     assert out[10, 10] < 900.0
+
+
+@pytest.mark.parametrize("sigma", [math.inf, -math.inf, math.nan])
+def test_blur_rejects_a_non_finite_sigma(sigma):
+    img = np.zeros((4, 4), np.uint8)
+    for blur, arr in ((gaussian_blur, img), (gaussian_blur_float, widen(img))):
+        with pytest.raises(ValueError, match=f"^sigma must be finite, got {sigma}$"):
+            blur(arr, sigma)
+    with pytest.raises(ValueError, match=f"^sigma must be finite, got {sigma}$"):
+        synthesize_pairs(1, sigma, seed=0, height=8, width=8)
+
+
+def test_kernel_taps_are_python_floats_normalized_by_fsum():
+    for sigma in (0.3, 1.3, 2.0, 3.5):
+        radius = max(1, math.ceil(3.0 * sigma))
+        taps = [math.exp(-(k * k) / (2.0 * sigma * sigma)) for k in range(-radius, radius + 1)]
+        total = math.fsum(taps)
+        assert _gaussian_kernel1d(sigma).tolist() == [tap / total for tap in taps]
+
+
+# Prints the blur taps at several sigmas, as hex bytes.
+_TAPS_PROBE = textwrap.dedent("""
+    from momentfuse.synthetic import _gaussian_kernel1d
+    for sigma in (0.7, 1.3, 2.0, 3.5):
+        print(_gaussian_kernel1d(sigma).tobytes().hex())
+""")
+
+
+def test_kernel_taps_do_not_depend_on_numpy_simd_level():
+    # numpy's AVX-512 exp gives other last bits than its AVX2 and baseline
+    # loops; the taps must not.
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(momentfuse.__file__)),
+               NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4 X86_V3")
+    done = subprocess.run([sys.executable, "-c", _TAPS_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    here = [_gaussian_kernel1d(sigma).tobytes().hex() for sigma in (0.7, 1.3, 2.0, 3.5)]
+    assert done.stdout.split() == here
 
 
 def full_raster_blur(arr, sigma):
