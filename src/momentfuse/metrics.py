@@ -60,8 +60,8 @@ def mutual_information(a: np.ndarray, f: np.ndarray) -> float:
     pa = pj.sum(axis=1)
     pf = pj.sum(axis=0)
     mask = pj > 0
-    denom = np.outer(pa, pf)[mask]
-    return float(np.sum(pj[mask] * np.log2(pj[mask] / denom)))
+    p = pj[mask]
+    return float(np.sum(p * np.log2(p / np.outer(pa, pf)[mask])))
 
 
 def mim(a: np.ndarray, b: np.ndarray, f: np.ndarray) -> float:

@@ -17,6 +17,12 @@ from .image import accumulate, padded_rows, round_u8
 from .validation import check_image_u8
 
 
+# Largest blur sigma, a kernel of 2 * 300 + 1 taps; the tests, README and
+# benchmark use sigmas of at most 4. Past it the kernel radius, not the
+# raster, sizes the strip buffers, and 3 sigma can overflow an int.
+MAX_SIGMA = 100.0
+
+
 def _gaussian_kernel1d(sigma: float) -> np.ndarray:
     """2r + 1 normalized Gaussian taps, r = max(1, ceil(3 sigma)), from
     `math.exp` and the correctly rounded `math.fsum`: numpy's `exp` gives
@@ -28,9 +34,12 @@ def _gaussian_kernel1d(sigma: float) -> np.ndarray:
 
 
 def _check_sigma(sigma: float) -> float:
-    """Raise ValueError unless the blur sigma is finite; return it."""
+    """Raise ValueError unless the blur sigma is finite and at most
+    MAX_SIGMA; return it."""
     if not math.isfinite(sigma):
         raise ValueError(f"sigma must be finite, got {sigma}")
+    if sigma > MAX_SIGMA:
+        raise ValueError(f"sigma must be at most {MAX_SIGMA}, got {sigma}")
     return sigma
 
 
@@ -68,7 +77,8 @@ def _blur(arr: np.ndarray, sigma: float, dtype) -> np.ndarray:
 def gaussian_blur_float(arr: np.ndarray, sigma: float) -> np.ndarray:
     """Separable Gaussian blur of a float raster with replicate borders.
 
-    sigma <= 0 returns an unmodified copy; a non-finite one raises ValueError.
+    sigma <= 0 returns an unmodified copy; a non-finite one or one above
+    MAX_SIGMA raises ValueError.
     """
     if _check_sigma(sigma) <= 0.0:
         return np.array(arr, copy=True, dtype=np.float64)
@@ -78,8 +88,9 @@ def gaussian_blur_float(arr: np.ndarray, sigma: float) -> np.ndarray:
 def gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
     """Gaussian blur of an 8-bit raster, requantized to 8 bits; sigma as in
     `gaussian_blur_float`."""
+    _check_sigma(sigma)
     img = check_image_u8(img)
-    return img.copy() if _check_sigma(sigma) <= 0.0 else _blur(img, sigma, np.uint8)
+    return img.copy() if sigma <= 0.0 else _blur(img, sigma, np.uint8)
 
 
 @dataclass
@@ -100,6 +111,7 @@ def complementary_blur_pair(base: np.ndarray, seam: int, sigma: float) -> Synthe
     Output `a` has columns < seam blurred (sharp on the right), `b` has
     columns >= seam blurred (sharp on the left). Fully deterministic.
     """
+    _check_sigma(sigma)
     base = check_image_u8(base, "base image")
     width = base.shape[1]
     if not 0 < seam < width:

@@ -137,6 +137,15 @@ def test_synth_with_non_finite_sigma_exits_1(tmp_path, capsys, sigma):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("sigma", ["1e5", "1e308"])
+def test_synth_with_a_sigma_above_the_bound_exits_1(tmp_path, capsys, sigma):
+    out_dir = tmp_path / "pairs"
+    assert main(["synth", "--out-dir", str(out_dir), "--sigma", sigma]) == 1
+    err = capsys.readouterr().err
+    assert err == f"momentfuse: error: sigma must be at most 100.0, got {float(sigma)}\n"
+    assert not out_dir.exists()
+
+
 def test_batch_summary_counts_distinct_methods(tmp_path, capsys):
     base = tmp_path / "base.pgm"
     write_pgm(base, random_texture(16, 16, np.random.default_rng(3)))
@@ -294,6 +303,93 @@ def test_config_unknown_key_is_usage_error(pair_files, tmp_path):
                  "--in-b", str(path_b), "--out", str(tmp_path / "f.pgm")]) == 1
 
 
+def _write_config(tmp_path, *lines):
+    path = tmp_path / "run.conf"
+    path.write_text("".join(f"{line}\n" for line in lines))
+    return path
+
+
+@pytest.mark.parametrize("spellings", [("in_a", "in-b"), ("in-a", "in_b")])
+def test_config_keys_take_either_spelling(pair_files, tmp_path, spellings):
+    path_a, path_b, a, b = pair_files
+    config = _write_config(tmp_path, f"{spellings[0]} = {path_a}", f"{spellings[1]} = {path_b}")
+    out = tmp_path / "fused.pgm"
+    assert main(["fuse", "--config", str(config), "--out", str(out)]) == 0
+    assert np.array_equal(read_pgm(out), MomentFuser().fuse(a, b).fused_u8)
+
+
+def test_config_switches(pair_files, tmp_path, capsys):
+    path_a, path_b, a, b = pair_files
+    out = tmp_path / "fused.pgm"
+    config = _write_config(tmp_path, "magnitude = false")
+    assert main(["fuse", "--config", str(config), "--in-a", str(path_a),
+                 "--in-b", str(path_b), "--out", str(out)]) == 0
+    signed = MomentFuser(magnitude=False).fuse(a, b).fused_u8
+    assert not np.array_equal(signed, MomentFuser().fuse(a, b).fused_u8)
+    assert np.array_equal(read_pgm(out), signed)
+    capsys.readouterr()
+    config = _write_config(tmp_path, "json = yes")
+    assert main(["eval", "--config", str(config), "--in-a", str(path_a),
+                 "--in-b", str(path_b), "--fused", str(out)]) == 0
+    assert set(json.loads(capsys.readouterr().out)) == {"mim", "sd", "entropy", "qabf", "degenerate"}
+
+
+def test_every_required_flag_can_come_from_the_config(pair_files, tmp_path, capsys):
+    path_a, path_b, a, b = pair_files
+    data_dir, fused = tmp_path / "pairs", tmp_path / "fused.pgm"
+    runs = [
+        ("synth", f"out_dir = {data_dir}", "pairs = 2", "seed = 3"),
+        ("fuse", f"in_a = {path_a}", f"in_b = {path_b}", f"out = {fused}"),
+        ("eval", f"in_a = {path_a}", f"in_b = {path_b}", f"fused = {fused}"),
+        ("batch", f"dir = {data_dir}", f"report = {tmp_path / 'dir.csv'}"),
+        ("batch", f"manifest = {tmp_path / 'pairs.txt'}", f"report = {tmp_path / 'manifest.csv'}"),
+    ]
+    (tmp_path / "pairs.txt").write_text(f"x {data_dir}/000_a.pgm {data_dir}/000_b.pgm\n")
+    for command, *lines in runs:
+        assert main([command, "--config", str(_write_config(tmp_path, *lines))]) == 0, command
+    assert sorted(os.listdir(data_dir)) == ["000_a.pgm", "000_b.pgm", "001_a.pgm", "001_b.pgm"]
+    assert np.array_equal(read_pgm(fused), MomentFuser().fuse(a, b).fused_u8)
+    assert len((tmp_path / "dir.csv").read_text().splitlines()) == 1 + 2 * 3 + 3
+    assert len((tmp_path / "manifest.csv").read_text().splitlines()) == 1 + 3 + 3
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag, override", [
+    (["--window", "3"], {"window": 3}),
+    (["--center", "17.9"], {"center": 17.9}),
+    (["--source", "filtered"], {"source": "filtered"}),
+    (["--no-magnitude"], {"magnitude": False}),
+])
+@pytest.mark.parametrize("flag_first", [True, False])
+def test_a_command_line_flag_beats_the_config(pair_files, tmp_path, flag, override, flag_first):
+    path_a, path_b, a, b = pair_files
+    config = _write_config(tmp_path, "window = 5", "center = 9.0", "source = original",
+                           "magnitude = true", f"in_a = {path_a}", f"in_b = {path_b}")
+    from_config = dict(window=5, center=9.0, source="original", magnitude=True)
+    expected = MomentFuser(**{**from_config, **override}).fuse(a, b).fused_u8
+    assert not np.array_equal(expected, MomentFuser(**from_config).fuse(a, b).fused_u8)
+    out = tmp_path / "fused.pgm"
+    with_config = ["--config", str(config)]
+    argv = flag + with_config if flag_first else with_config + flag
+    assert main(["fuse", *argv, "--out", str(out)]) == 0
+    assert np.array_equal(read_pgm(out), expected)
+
+
+# `pairs` is a flag of synth, not of fuse, and a config file cannot name
+# another one.
+@pytest.mark.parametrize("line", ["window 5", "wavelets = 4", "window = abc", "magnitude = maybe",
+                                  "pairs = 3", "config = run.conf"])
+def test_a_bad_config_line_exits_1_with_one_error_line(pair_files, tmp_path, capsys, line):
+    path_a, path_b, _, _ = pair_files
+    out = tmp_path / "f.pgm"
+    config = _write_config(tmp_path, line)
+    assert main(["fuse", "--config", str(config), "--in-a", str(path_a),
+                 "--in-b", str(path_b), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("momentfuse") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 def test_help_exits_zero():
     assert main(["--help"]) == 0
     assert main(["fuse", "--help"]) == 0
@@ -340,3 +436,35 @@ def test_main_runs_without_mallopt(tmp_path, monkeypatch, fault):
     monkeypatch.setattr(cli.ctypes, "CDLL", no_libc)
     assert main(["synth", "--out-dir", str(tmp_path), "--pairs", "1"]) == 0
     assert sorted(os.listdir(tmp_path)) == ["000_a.pgm", "000_b.pgm"]
+
+
+# Calls the console script's entry point (`module:function`, the first
+# argument) as the script that pip generates for it does:
+# sys.exit(function()), with the remaining arguments in sys.argv.
+_ENTRY_POINT_SCRIPT = textwrap.dedent("""
+    import importlib, sys
+    module, _, function = sys.argv.pop(1).partition(":")
+    sys.exit(getattr(importlib.import_module(module), function)())
+""")
+
+
+def test_console_script_runs_synth_batch_and_eval(tmp_path):
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    with open(os.path.join(os.path.dirname(os.path.dirname(__file__)), "pyproject.toml"), "rb") as fh:
+        entry_point = tomllib.load(fh)["project"]["scripts"]["momentfuse"]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(momentfuse.__file__)))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-c", _ENTRY_POINT_SCRIPT, entry_point, *argv],
+                              env=env, capture_output=True, text=True, timeout=120)
+
+    data_dir = tmp_path / "pairs"
+    pair_a, pair_b = str(data_dir / "000_a.pgm"), str(data_dir / "000_b.pgm")
+    done = [run("synth", "--out-dir", str(data_dir), "--pairs", "2", "--seed", "4"),
+            run("batch", "--dir", str(data_dir), "--report", str(tmp_path / "r.csv")),
+            run("eval", "--in-a", pair_a, "--in-b", pair_b, "--fused", pair_a, "--json"),
+            run("eval", "--in-a", pair_a, "--wavelets", "4")]
+    assert [proc.returncode for proc in done] == [0, 0, 0, 1], [proc.stderr for proc in done]
+    assert "Traceback" not in done[3].stderr
+    assert set(json.loads(done[2].stdout)) == {"mim", "sd", "entropy", "qabf", "degenerate"}
+    assert len((tmp_path / "r.csv").read_text().splitlines()) == 1 + 2 * 3 + 3

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -15,6 +16,7 @@ import momentfuse
 from momentfuse import fusion
 from momentfuse.image import correlate, quantize, widen
 from momentfuse.synthetic import (
+    MAX_SIGMA,
     _gaussian_kernel1d,
     complementary_blur_pair,
     gaussian_blur,
@@ -66,6 +68,29 @@ def test_blur_rejects_a_non_finite_sigma(sigma):
             blur(arr, sigma)
     with pytest.raises(ValueError, match=f"^sigma must be finite, got {sigma}$"):
         synthesize_pairs(1, sigma, seed=0, height=8, width=8)
+
+
+@pytest.mark.parametrize("sigma", [math.nextafter(MAX_SIGMA, math.inf), 1e5, 1e20, 1e308])
+def test_blur_rejects_a_sigma_above_the_bound(sigma):
+    # Before the bound, 1e308 overflowed 3 sigma, 1e5 asked for a buffer of
+    # terabytes, and 1e20 appended taps until memory ran out.
+    img = np.zeros((4, 4), np.uint8)
+    message = "^" + re.escape(f"sigma must be at most {MAX_SIGMA}, got {sigma}") + "$"
+    for blur, arr in ((gaussian_blur, img), (gaussian_blur_float, widen(img)),
+                      (lambda arr, sigma: complementary_blur_pair(arr, 2, sigma), img)):
+        with pytest.raises(ValueError, match=message):
+            blur(arr, sigma)
+    with pytest.raises(ValueError, match=message):
+        synthesize_pairs(1, sigma, seed=0, height=8, width=8)
+
+
+def test_blur_at_the_sigma_bound():
+    assert len(_gaussian_kernel1d(MAX_SIGMA)) == 2 * 300 + 1
+    img = np.arange(12, dtype=np.uint8).reshape(3, 4)
+    # The kernel is far wider than the raster, so the replicated corners
+    # dominate every output, and their mean is this ramp's mean.
+    assert np.abs(gaussian_blur_float(widen(img), MAX_SIGMA) - img.mean()).max() < 1.0
+    assert gaussian_blur(img, MAX_SIGMA).shape == img.shape
 
 
 def test_kernel_taps_are_python_floats_normalized_by_fsum():
