@@ -145,14 +145,18 @@ def write_atomically(path, data: bytes):
     The temp file is opened like `path` would be, so it gets the umask's
     mode, and it is deleted on failure. Its name never ends in `.pgm`, so
     pair discovery ignores one that a killed process left behind. There is
-    no fsync: this guards against a crashing process, not a power cut.
+    no fsync: this guards against a crashing process, not a power cut. An
+    OSError about the temp file names `path` instead.
     """
-    tmp = f"{os.fsdecode(path)}.{os.getpid()}.tmp"
+    target = os.fsdecode(path)
+    tmp = f"{target}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
             fh.write(data)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(OSError):
             os.remove(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:
+            raise OSError(exc.errno, exc.strerror, target) from exc
         raise

@@ -126,6 +126,19 @@ def complementary_blur_pair(base: np.ndarray, seam: int, sigma: float) -> Synthe
     return SyntheticPair(a=a, b=b, sharp_is_a=truth, seam=seam, sigma=sigma)
 
 
+def _tile_side(next_uint32, state) -> int:
+    """One tile side in [8, 16], the draw of `Generator.integers(8, 17)`.
+
+    numpy bounds a 32-bit draw by Lemire's multiply-and-shift over the 9
+    values, redrawing while the product's low word is below
+    (2**32 - 9) % 9 = 4.
+    """
+    m = next_uint32(state) * 9
+    while m & 0xFFFFFFFF < 4:
+        m = next_uint32(state) * 9
+    return 8 + (m >> 32)
+
+
 def random_texture(height: int, width: int, rng: np.random.Generator) -> np.ndarray:
     """Reproducible test card: flat bright tiles under a regular grid of dark
     dots.
@@ -134,22 +147,32 @@ def random_texture(height: int, width: int, rng: np.random.Generator) -> np.ndar
     neighborhood, so blurring is detectable at every pixel; the flat tiles in
     between keep the content piecewise-constant with crisp full-range
     boundaries. Tile sides (8 to 16 pixels) and levels (90 to 190) are drawn
-    from rng."""
+    from rng: each side and level is the value `rng.integers(8, 17)` and
+    `rng.uniform(90.0, 190.0)` would return, from the same bits, and rng is
+    left in the same state.
+    """
+    # The bit generator's C functions skip the Generator methods' per-call
+    # argument handling, which took most of the time per tile.
+    bit_generator = rng.bit_generator
+    funcs = bit_generator.ctypes
+    next_uint32, next_double, state = funcs.next_uint32, funcs.next_double, funcs.state
     img = np.empty((height, width), np.uint8)
     row = 0
-    while row < height:
-        tile_h = int(rng.integers(8, 17))
-        widths, levels = [], []
-        col = 0
-        while col < width:
-            tile_w = int(rng.integers(8, 17))
-            widths.append(tile_w)
-            levels.append(rng.uniform(90.0, 190.0))
-            col += tile_w
-        # One band of tiles: each level rounds once, then repeats across
-        # its tile's columns and down the band's rows.
-        img[row:row + tile_h] = np.repeat(round_u8(np.array(levels)), widths)[:width]
-        row += tile_h
+    with bit_generator.lock:
+        while row < height:
+            tile_h = _tile_side(next_uint32, state)
+            widths, levels = [], []
+            col = 0
+            while col < width:
+                tile_w = _tile_side(next_uint32, state)
+                widths.append(tile_w)
+                # What numpy's C `uniform` computes from the same draw.
+                levels.append(90.0 + 100.0 * next_double(state))
+                col += tile_w
+            # One band of tiles: each level rounds once, then repeats across
+            # its tile's columns and down the band's rows.
+            img[row:row + tile_h] = np.repeat(round_u8(np.array(levels)), widths)[:width]
+            row += tile_h
     img[::3, ::3] = 15
     return img
 
@@ -169,6 +192,8 @@ def synthesize_pairs(n_pairs: int, sigma: float, seed: int,
     if base is not None:
         base = check_image_u8(base, "base image")
         height, width = base.shape
+    if height < 1:
+        raise ValueError(f"height must be >= 1, got {height}")
     if width < 2:
         raise ValueError(f"width must be >= 2 to hold a seam, got {width}")
     rng = np.random.default_rng(seed)

@@ -207,6 +207,18 @@ def test_failed_batch_keeps_previous_report(tmp_path, monkeypatch, capsys, fault
     assert sorted(os.listdir(tmp_path)) == ["pairs", "r.csv"]
 
 
+def test_batch_report_in_a_missing_directory_is_data_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    main(["synth", "--out-dir", "pairs", "--pairs", "1", "--seed", "7"])
+    capsys.readouterr()
+    assert main(["batch", "--dir", "pairs", "--methods", "average",
+                 "--report", "missing/r.csv"]) == 2
+    assert capsys.readouterr().err == (
+        "momentfuse: data error: [Errno 2] No such file or directory: 'missing/r.csv'\n")
+    assert sorted(os.listdir(tmp_path)) == ["pairs"]
+    assert sorted(os.listdir(tmp_path / "pairs")) == ["000_a.pgm", "000_b.pgm"]
+
+
 def test_batch_json_report_with_manifest_and_skipped(tmp_path, capsys):
     data_dir = tmp_path / "pairs"
     main(["synth", "--out-dir", str(data_dir), "--pairs", "2", "--seed", "3"])

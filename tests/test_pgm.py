@@ -154,6 +154,20 @@ def test_write_pgm_replaces_whole_file_with_umask_mode(tmp_path):
     assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
 
 
+@pytest.mark.parametrize("target", ["missing/img.pgm", "taken"])
+def test_failed_write_pgm_names_its_target(tmp_path, target):
+    # The temp file cannot be opened in a missing directory, and cannot
+    # replace a directory.
+    (tmp_path / "taken").mkdir()
+    path = str(tmp_path / target)
+    with pytest.raises(OSError) as raised:
+        write_pgm(path, np.zeros((2, 2), dtype=np.uint8))
+    assert raised.value.filename == path and raised.value.filename2 is None
+    assert str(raised.value).endswith(f": {path!r}")
+    assert sorted(os.listdir(tmp_path)) == ["taken"]
+    assert os.listdir(tmp_path / "taken") == []
+
+
 _rasters = st.tuples(st.integers(1, 20), st.integers(1, 20)).flatmap(
     lambda shape: arrays(np.uint8, shape))
 

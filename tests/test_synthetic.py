@@ -18,6 +18,7 @@ from momentfuse.image import correlate, quantize, widen
 from momentfuse.synthetic import (
     MAX_SIGMA,
     _gaussian_kernel1d,
+    _tile_side,
     complementary_blur_pair,
     gaussian_blur,
     gaussian_blur_float,
@@ -184,17 +185,52 @@ def float_canvas_texture(height, width, rng):
     return quantize(img)
 
 
+def same_state(x, y):
+    """Deep equality of two `bit_generator.state` values, whose nested dicts
+    may hold arrays (MT19937's key, Philox's counter and buffer)."""
+    if isinstance(x, dict):
+        return x.keys() == y.keys() and all(same_state(x[k], y[k]) for k in x)
+    if isinstance(x, np.ndarray):
+        return x.dtype == y.dtype and np.array_equal(x, y)
+    return type(x) is type(y) and x == y
+
+
+@pytest.mark.parametrize("bit_generator", ["PCG64", "PCG64DXSM", "MT19937", "Philox", "SFC64"])
 @settings(max_examples=200, deadline=None)
 @given(height=st.integers(1, 70), width=st.integers(1, 70), seed=st.integers(0, 2**63))
-def test_random_texture_matches_float_canvas(height, width, seed):
+def test_random_texture_matches_float_canvas(bit_generator, height, width, seed):
     # Equal generator states afterwards mean that synthesize_pairs draws
     # the same seams after each texture.
-    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    rng, oracle_rng = (np.random.Generator(getattr(np.random, bit_generator)(seed))
+                       for _ in range(2))
+    for generator in (rng, oracle_rng):
+        # Leaves half of a 64-bit draw buffered for the next 32-bit one.
+        generator.random()
+        generator.integers(0, 5)
     card = random_texture(height, width, rng)
     expected = float_canvas_texture(height, width, oracle_rng)
     assert card.dtype == np.uint8 and card.shape == (height, width)
     assert card.tobytes() == expected.tobytes()
-    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    assert same_state(rng.bit_generator.state, oracle_rng.bit_generator.state)
+
+
+@pytest.mark.parametrize("draws, side", [
+    ([0, 477218588], 8),  # low word 0 is redrawn; 477218588 * 9 = 2**32 - 4 is kept
+    ([2863311531, 3817748708], 16),  # low word 3 is redrawn, 4 is kept
+    ([2**32 - 1], 16),
+])
+def test_tile_side_redraws_a_low_product(draws, side):
+    # A real draw redraws with probability 4 / 2**32, so no seeded card
+    # reaches this branch.
+    pending = iter(draws)
+    states = []
+
+    def next_uint32(state):
+        states.append(state)
+        return next(pending)
+
+    assert _tile_side(next_uint32, "state") == side
+    assert states == ["state"] * len(draws)
 
 
 def test_pair_sides_and_ground_truth():
@@ -272,6 +308,12 @@ def test_synthesize_pairs_on_narrow_rasters(width):
 def test_synthesize_pairs_rejects_rasters_without_a_seam(width, shape):
     with pytest.raises(ValueError, match=f"width must be >= 2 to hold a seam, got {width}$"):
         synthesize_pairs(1, 1.0, seed=0, height=8, **shape)
+
+
+@pytest.mark.parametrize("height", [0, -3])
+def test_synthesize_pairs_rejects_a_raster_without_rows(height):
+    with pytest.raises(ValueError, match=f"^height must be >= 1, got {height}$"):
+        synthesize_pairs(1, 2.0, seed=0, height=height)
 
 
 def test_synthesize_pairs_rejects_empty_request():
