@@ -7,6 +7,8 @@ than aborting the run; reports are deterministic byte-for-byte given equal
 inputs.
 """
 
+import csv
+import io
 import json
 import os
 from dataclasses import dataclass, field
@@ -212,20 +214,23 @@ def _format_value(value) -> str:
 
 
 def _emit_csv(report: BatchReport) -> bytes:
-    lines = ["pair_id,method,mim,sd,entropy,qabf,degenerate"]
+    # The writer quotes a pair id holding a comma, quote or newline.
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["pair_id", "method", *METRIC_COLUMNS, "degenerate"])
     for row in report.rows:
         record = row.record.as_dict()
         cells = [row.pair_id, row.method]
         cells.extend(_format_value(record[column]) for column in METRIC_COLUMNS)
         cells.append(_format_value(record["degenerate"]))
-        lines.append(",".join(cells))
+        writer.writerow(cells)
     for method in sorted(report.aggregates):
         agg = report.aggregates[method]
         cells = [AGGREGATE_ID, method]
         cells.extend(_format_value(agg[column]) for column in METRIC_COLUMNS)
         cells.append(str(agg["degenerate"]))
-        lines.append(",".join(cells))
-    return ("\n".join(lines) + "\n").encode("ascii")
+        writer.writerow(cells)
+    return buf.getvalue().encode("utf-8")
 
 
 def _emit_json(report: BatchReport) -> bytes:

@@ -7,37 +7,25 @@ the same raster decode to identical arrays, and save -> load is the identity.
 
 import contextlib
 import os
+import re
 
 import numpy as np
 
 from .validation import check_image_u8
 
 
-_WHITESPACE = b" \t\r\n\x0b\x0c"
+_WHITESPACE = b" \t\r\n\x0b\x0c"  # the bytes that bytes.split() splits on
+
+# One header token after any whitespace and `#` comments. A comment is pinned
+# to the end of its line (or of the data), so every repeated piece starts with
+# a byte no other piece can start with: a failing match backtracks in linear
+# time instead of trying every way to split a run of comments.
+_TOKEN = re.compile(rb"(?:[ \t\r\n\x0b\x0c]|#[^\n]*(?![^\n]))*([^ \t\r\n\x0b\x0c#]+)")
+_COMMENT = re.compile(rb"#[^\n]*")
 
 
 class PgmError(ValueError):
     """Raised for any malformed or unsupported PGM stream."""
-
-
-def _tokens(data: bytes):
-    """Yield (token, end_offset) over whitespace-separated header tokens,
-    skipping `#` comments that run to end of line."""
-    i = 0
-    n = len(data)
-    while i < n:
-        c = data[i:i + 1]
-        if c in _WHITESPACE:
-            i += 1
-        elif c == b"#":
-            j = data.find(b"\n", i)
-            i = n if j < 0 else j + 1
-        else:
-            j = i
-            while j < n and data[j:j + 1] not in _WHITESPACE + b"#":
-                j += 1
-            yield data[i:j], j
-            i = j
 
 
 def load_pgm(data: bytes) -> np.ndarray:
@@ -48,72 +36,62 @@ def load_pgm(data: bytes) -> np.ndarray:
     whitespace byte, samples above maxval, truncated sample data, and data
     left over after the raster (for P2, anything but whitespace and comments).
     """
-    toks = _tokens(data)
+    end = 0
 
-    def next_token(what):
-        try:
-            return next(toks)
-        except StopIteration:
-            raise PgmError(f"truncated header: missing {what}") from None
+    def field(what):
+        nonlocal end
+        match = _TOKEN.match(data, end)
+        if match is None:
+            raise PgmError(f"truncated header: missing {what}")
+        end = match.end()
+        return match[1]
 
-    def next_int(what):
-        tok, end = next_token(what)
+    def int_field(what):
+        token = field(what)
         try:
-            return int(tok), end
+            return int(token)
         except ValueError:
-            raise PgmError(f"invalid {what}: {tok!r}") from None
+            raise PgmError(f"invalid {what}: {token!r}") from None
 
-    magic, _ = next_token("magic number")
+    magic = field("magic number")
     if magic not in (b"P2", b"P5"):
         raise PgmError(f"unsupported magic number {magic!r}; expected P2 or P5")
-    width, _ = next_int("width")
-    height, _ = next_int("height")
+    width = int_field("width")
+    height = int_field("height")
     if width < 1 or height < 1:
         raise PgmError(f"zero or negative dimension: {width}x{height}")
-    maxval, header_end = next_int("maxval")
+    maxval = int_field("maxval")
     if maxval < 1 or maxval > 255:
         raise PgmError(f"maxval {maxval} out of supported range [1, 255]")
 
-    count = width * height
     if magic == b"P5":
         # Exactly one whitespace byte separates the maxval from the raster.
-        separator = data[header_end:header_end + 1]
+        separator = data[end:end + 1]
         if len(separator) != 1 or separator not in _WHITESPACE:
             raise PgmError(f"maxval must be followed by one whitespace byte, got {separator!r}")
-        raster = data[header_end + 1:]
-        if len(raster) < count:
-            raise PgmError(
-                f"truncated sample data: expected {count} bytes, got {len(raster)}"
-            )
-        # A CRLF after the maxval leaves its LF here as one byte too many;
-        # decoding it would shift the whole raster by one sample.
-        if len(raster) > count:
-            raise PgmError(
-                f"trailing data: expected {count} raster bytes, got {len(raster)}"
-            )
-        samples = np.frombuffer(raster, dtype=np.uint8)
-        if samples.max() > maxval:
-            raise PgmError(f"sample {samples.max()} out of range [0, {maxval}]")
+        body = data[end + 1:]
     else:
-        values = []
-        for tok, _ in toks:
-            # Only whitespace and comments may follow the last sample.
-            if len(values) == count:
-                raise PgmError(f"trailing data: expected {count} ASCII samples, got more: {tok!r}")
-            try:
-                v = int(tok)
-            except ValueError:
-                raise PgmError(f"invalid ASCII sample {tok!r}") from None
-            if v < 0 or v > maxval:
-                raise PgmError(f"ASCII sample {v} out of range [0, {maxval}]")
-            values.append(v)
-        if len(values) < count:
-            raise PgmError(
-                f"truncated sample data: expected {count} samples, got {len(values)}"
-            )
-        samples = np.array(values, dtype=np.uint8)
-
-    return samples.reshape(height, width)
+        body = _COMMENT.sub(b"", data[end:]).split()
+    count = width * height
+    if len(body) < count:
+        raise PgmError(f"truncated sample data: expected {count} samples, got {len(body)}")
+    # Only whitespace and comments may follow the last P2 sample. A CRLF after
+    # a P5 maxval leaves its LF as one byte too many; decoding it would shift
+    # the whole raster by one sample.
+    if len(body) > count:
+        raise PgmError(f"trailing data: expected {count} samples, got {len(body)}")
+    if magic == b"P5":
+        samples = np.frombuffer(body, dtype=np.uint8)
+    else:
+        try:
+            samples = np.array(list(map(int, body)))
+        except ValueError as exc:
+            raise PgmError(f"invalid ASCII sample: {exc}") from None
+    # Ints too large for int64 make an object array, which fails here too.
+    low, high = samples.min(), samples.max()
+    if low < 0 or high > maxval:
+        raise PgmError(f"sample {low if low < 0 else high} out of range [0, {maxval}]")
+    return samples.astype(np.uint8, copy=False).reshape(height, width)
 
 
 def save_pgm(img: np.ndarray, binary: bool = True) -> bytes:

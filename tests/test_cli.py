@@ -1,5 +1,6 @@
 """End-to-end CLI tests: subcommands, exit codes, and config files."""
 
+import csv
 import ctypes
 import json
 import os
@@ -125,6 +126,21 @@ def test_synth_then_batch_csv(tmp_path, capsys):
     lines = report.read_text().splitlines()
     assert lines[0] == "pair_id,method,mim,sd,entropy,qabf,degenerate"
     assert len(lines) == 1 + 3 * 2 + 2  # header, rows, two aggregate rows
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("pair_id", ['x,"y"', "\u00e9"])
+def test_batch_csv_keeps_any_pair_id_in_one_cell(tmp_path, capsys, pair_id):
+    data_dir = tmp_path / "pairs"
+    assert main(["synth", "--out-dir", str(data_dir), "--pairs", "2", "--seed", "5"]) == 0
+    for side in "ab":
+        os.rename(data_dir / f"000_{side}.pgm", data_dir / f"{pair_id}_{side}.pgm")
+    report = tmp_path / "report.csv"
+    assert main(["batch", "--dir", str(data_dir), "--report", str(report)]) == 0
+    with open(report, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert {len(row) for row in rows} == {7}
+    assert pair_id in {row[0] for row in rows}
     capsys.readouterr()
 
 

@@ -2,6 +2,9 @@
 
 import os
 import stat
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -9,7 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from momentfuse.pgm import PgmError, load_pgm, read_pgm, save_pgm, write_pgm
+import momentfuse
+from momentfuse.pgm import _WHITESPACE, PgmError, load_pgm, read_pgm, save_pgm, write_pgm
 
 
 def test_decode_p5_minimal():
@@ -105,6 +109,50 @@ def test_reject_bad_ascii_sample():
         load_pgm(b"P2\n1 1\n255\n300\n")
 
 
+def _decoded(data):
+    try:
+        return load_pgm(data).tolist()
+    except PgmError:
+        return None
+
+
+def test_whitespace_is_what_bytes_split_splits_on():
+    # The header regex and the P2 body's bytes.split() must separate tokens
+    # on exactly the same bytes.
+    assert {b for b in range(256) if len((b"1%c1" % b).split()) == 2} == set(_WHITESPACE)
+    for b in range(256):
+        separates = b in _WHITESPACE
+        assert _decoded(b"P2%c1 1 1 1" % b) == ([[1]] if separates else None)
+        assert _decoded(b"P2 2 1 1 1%c1" % b) == ([[1, 1]] if separates else None)
+
+
+# Exit 0 if the PGM stream on stdin raises PgmError, else 1.
+_DECODE_STDIN = textwrap.dedent("""
+    import sys
+    from momentfuse.pgm import PgmError, load_pgm
+    try:
+        load_pgm(sys.stdin.buffer.read())
+    except PgmError:
+        sys.exit(0)
+    sys.exit(1)
+""")
+
+
+@pytest.mark.parametrize("data", [
+    b"P2" + b"# " * 5000,
+    b"P2 1 1" + b" " * 10**6,
+    b"P5 " + b"#\n" * 10**5,
+    b"P2 1 1 255 " + b"#" * 10**6,
+], ids=["comment-run", "space-run", "comment-lines", "comment-body"])
+def test_adversarial_streams_fail_in_linear_time(data):
+    # A regex that backtracks exponentially hangs rather than fails, so each
+    # stream is decoded in a subprocess that the timeout ends.
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(momentfuse.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _DECODE_STDIN], input=data, env=env,
+                          capture_output=True, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_roundtrip_1x1():
     img = np.array([[7]], dtype=np.uint8)
     assert np.array_equal(load_pgm(save_pgm(img)), img)
@@ -168,6 +216,104 @@ def test_failed_write_pgm_names_its_target(tmp_path, target):
     assert os.listdir(tmp_path / "taken") == []
 
 
+# The decoder as it was before the token regex: a byte-at-a-time tokenizer
+# and a per-sample P2 loop, kept verbatim as the oracle for the fuzz test.
+def _tokens(data: bytes):
+    """Yield (token, end_offset) over whitespace-separated header tokens,
+    skipping `#` comments that run to end of line."""
+    i = 0
+    n = len(data)
+    while i < n:
+        c = data[i:i + 1]
+        if c in _WHITESPACE:
+            i += 1
+        elif c == b"#":
+            j = data.find(b"\n", i)
+            i = n if j < 0 else j + 1
+        else:
+            j = i
+            while j < n and data[j:j + 1] not in _WHITESPACE + b"#":
+                j += 1
+            yield data[i:j], j
+            i = j
+
+
+def reference_load_pgm(data: bytes) -> np.ndarray:
+    """Decode a P2 or P5 PGM byte stream into a uint8 (height, width) array.
+
+    Raises PgmError with a distinct message for: unsupported magic number,
+    zero dimensions, maxval out of range, a P5 maxval not followed by one
+    whitespace byte, samples above maxval, truncated sample data, and data
+    left over after the raster (for P2, anything but whitespace and comments).
+    """
+    toks = _tokens(data)
+
+    def next_token(what):
+        try:
+            return next(toks)
+        except StopIteration:
+            raise PgmError(f"truncated header: missing {what}") from None
+
+    def next_int(what):
+        tok, end = next_token(what)
+        try:
+            return int(tok), end
+        except ValueError:
+            raise PgmError(f"invalid {what}: {tok!r}") from None
+
+    magic, _ = next_token("magic number")
+    if magic not in (b"P2", b"P5"):
+        raise PgmError(f"unsupported magic number {magic!r}; expected P2 or P5")
+    width, _ = next_int("width")
+    height, _ = next_int("height")
+    if width < 1 or height < 1:
+        raise PgmError(f"zero or negative dimension: {width}x{height}")
+    maxval, header_end = next_int("maxval")
+    if maxval < 1 or maxval > 255:
+        raise PgmError(f"maxval {maxval} out of supported range [1, 255]")
+
+    count = width * height
+    if magic == b"P5":
+        # Exactly one whitespace byte separates the maxval from the raster.
+        separator = data[header_end:header_end + 1]
+        if len(separator) != 1 or separator not in _WHITESPACE:
+            raise PgmError(f"maxval must be followed by one whitespace byte, got {separator!r}")
+        raster = data[header_end + 1:]
+        if len(raster) < count:
+            raise PgmError(
+                f"truncated sample data: expected {count} bytes, got {len(raster)}"
+            )
+        # A CRLF after the maxval leaves its LF here as one byte too many;
+        # decoding it would shift the whole raster by one sample.
+        if len(raster) > count:
+            raise PgmError(
+                f"trailing data: expected {count} raster bytes, got {len(raster)}"
+            )
+        samples = np.frombuffer(raster, dtype=np.uint8)
+        if samples.max() > maxval:
+            raise PgmError(f"sample {samples.max()} out of range [0, {maxval}]")
+    else:
+        values = []
+        for tok, _ in toks:
+            # Only whitespace and comments may follow the last sample.
+            if len(values) == count:
+                raise PgmError(f"trailing data: expected {count} ASCII samples, got more: {tok!r}")
+            try:
+                v = int(tok)
+            except ValueError:
+                raise PgmError(f"invalid ASCII sample {tok!r}") from None
+            if v < 0 or v > maxval:
+                raise PgmError(f"ASCII sample {v} out of range [0, {maxval}]")
+            values.append(v)
+        if len(values) < count:
+            raise PgmError(
+                f"truncated sample data: expected {count} samples, got {len(values)}"
+            )
+        samples = np.array(values, dtype=np.uint8)
+
+    return samples.reshape(height, width)
+
+
 _rasters = st.tuples(st.integers(1, 20), st.integers(1, 20)).flatmap(
     lambda shape: arrays(np.uint8, shape))
 
@@ -208,13 +354,23 @@ _headed = st.builds(
 @example(data=b"P5 2 1 255 \x01\x02")
 @example(data=b"P2 2 1 3 0 3")
 @example(data=b"P5 2 1 255\r\n\x01\x02")
+@example(data=b"P2 2 1 255 1#c\n2")
+@example(data=b"P2 2 1 255 -1 +5")
+@example(data=b"P2 1 1 255 x 5")
+@example(data=b"P2 2 1 255 99999999999999999999 007")
 def test_decoder_yields_uint8_raster_or_pgm_error(data):
+    # The first fault named may differ from the reference's, but the decoder
+    # fails exactly when it does and otherwise returns the same raster.
     try:
-        img = load_pgm(data)
+        expected = reference_load_pgm(data)
     except PgmError:
+        with pytest.raises(PgmError):
+            load_pgm(data)
         return
+    img = load_pgm(data)
     assert isinstance(img, np.ndarray)
     assert img.dtype == np.uint8 and img.ndim == 2 and img.size >= 1
+    assert np.array_equal(img, expected)
 
 
 @settings(max_examples=200, deadline=None)
