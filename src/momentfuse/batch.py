@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fusion import FUSION_METHODS, FusionResult, make_fuser
+from .fusion import FUSION_METHODS, FusionResult, _pooled, make_fuser
 from .metrics import MetricsRecord, QabfConstants, _shared_source_terms, evaluate
 from .pgm import PgmError, read_pgm
 from .validation import ShapeMismatchError, check_same_shape
@@ -40,10 +40,11 @@ class PairSpec:
 
 @dataclass
 class PairOutcome:
-    """Fusion plus evaluation of one pair with one method."""
+    """Fusion plus evaluation of one pair with one method; `result` is None
+    when `run_pair` was asked not to keep results."""
 
     method: str
-    result: FusionResult
+    result: Optional[FusionResult]
     record: MetricsRecord
 
 
@@ -118,22 +119,27 @@ def read_manifest(path) -> list[PairSpec]:
 
 
 def run_pair(a: np.ndarray, b: np.ndarray, methods=FUSION_METHODS,
-             constants: Optional[QabfConstants] = None, **fuser_params) -> list[PairOutcome]:
+             constants: Optional[QabfConstants] = None, *, keep_results: bool = True,
+             **fuser_params) -> list[PairOutcome]:
     """Fuse one loaded pair with each requested method and evaluate it.
 
     Methods run in sorted order; unknown method names raise ValueError.
     Extra keyword arguments are forwarded to the fusers that accept them.
-    The sources' Sobel maps and edge weights are computed once and shared by
-    every method's evaluation.
+    Every method is fused before any is scored, so the sources' Sobel maps
+    and edge weights, computed once and shared by every method's
+    evaluation, never coexist with a fuser's temporaries. With
+    keep_results=False only each method's `fused_u8` is kept past its fuse,
+    and every outcome's `result` is None.
     """
-    outcomes = []
+    def fuse(method):
+        result = make_fuser(method, **fuser_params).fuse(a, b)
+        return method, result.fused_u8, result if keep_results else None
+
+    fused = [fuse(method) for method in sorted(set(methods))]
     with _shared_source_terms():
-        for method in sorted(set(methods)):
-            fuser = make_fuser(method, **fuser_params)
-            result = fuser.fuse(a, b)
-            record = evaluate(a, b, result.fused_u8, constants)
-            outcomes.append(PairOutcome(method=method, result=result, record=record))
-    return outcomes
+        return [PairOutcome(method=method, result=result,
+                            record=evaluate(a, b, fused_u8, constants))
+                for method, fused_u8, result in fused]
 
 
 def run_batch(pairs: list[PairSpec], methods=FUSION_METHODS,
@@ -147,27 +153,36 @@ def run_batch(pairs: list[PairSpec], methods=FUSION_METHODS,
     no pair at all produces a result. An unknown method or a bad fuser
     parameter would fail every pair alike, so it raises ValueError before
     any pair is read.
+
+    Each pair is decoded and scored by `run_pair` without its results, on
+    one thread per CPU (inline on one CPU), so at most one decoded pair per
+    CPU is in flight. Outcomes are taken in pair order, so the rows, the
+    skipped list and both report formats are the same bytes on any number
+    of CPUs.
     """
     for method in sorted(set(methods)):
         make_fuser(method, **fuser_params)._check_params()
-    rows = []
-    skipped = []
-    for spec in pairs:
+
+    def score(spec):
+        """The pair's outcomes, or the reason it is skipped."""
         try:
             a = read_pgm(spec.path_a)
             b = read_pgm(spec.path_b)
             check_same_shape(a, b, spec.path_a, spec.path_b)
         except (OSError, PgmError, ShapeMismatchError) as exc:
-            skipped.append((spec.pair_id, str(exc)))
-            continue
-        pair_rows = []
+            return str(exc)
         try:
-            for outcome in run_pair(a, b, methods, constants, **fuser_params):
-                pair_rows.append(BatchRow(spec.pair_id, outcome.method, outcome.record))
+            return run_pair(a, b, methods, constants, keep_results=False, **fuser_params)
         except Exception as exc:  # a failing fuser or metric loses only its pair
-            skipped.append((spec.pair_id, f"{type(exc).__name__}: {exc}"))
-            continue
-        rows.extend(pair_rows)
+            return f"{type(exc).__name__}: {exc}"
+
+    rows = []
+    skipped = []
+    for spec, outcomes in zip(pairs, _pooled(score, pairs)):
+        if isinstance(outcomes, str):
+            skipped.append((spec.pair_id, outcomes))
+        else:
+            rows.extend(BatchRow(spec.pair_id, o.method, o.record) for o in outcomes)
     if not rows:
         raise EmptyBatchError("batch produced no results: empty or fully skipped pair set")
     rows.sort(key=lambda row: (row.pair_id, row.method))

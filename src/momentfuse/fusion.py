@@ -11,6 +11,7 @@ constructor arguments stored under the same names, introspectable through
 """
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextvars import copy_context
 from dataclasses import dataclass, fields
@@ -81,12 +82,47 @@ def _moment_weights(p: int, q: int, window: int) -> np.ndarray:
 
 
 def _worker_count(tasks: int) -> int:
-    """Threads for `tasks` independent strips: one per CPU this process may run on."""
+    """Threads for `tasks` independent tasks: one per CPU this process may run on."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
     return min(tasks, cpus)
+
+
+def _pooled(fn, items) -> list:
+    """[fn(item) for item in items], on one thread per CPU this process may
+    run on (inline on one CPU).
+
+    Each call runs in a copy of the caller's context, so the caller's
+    np.errstate and context variables hold in the workers as they do
+    inline, and a variable that a call sets stays in its own copy. Results
+    are taken in item order. Once a call raises, or the caller is
+    interrupted while it waits, no queued call starts: the calls already
+    running finish, and the first exception in item order propagates. A
+    pool per call: a process forked later inherits no idle threads.
+    """
+    items = list(items)
+    workers = _worker_count(len(items))
+    if workers <= 1:
+        return [fn(item) for item in items]
+    stop = threading.Event()
+
+    def call(context, item):
+        if stop.is_set():  # a call raised, and its exception will be taken first
+            return None
+        try:
+            return context.run(fn, item)
+        except BaseException:
+            stop.set()
+            raise
+
+    with ThreadPoolExecutor(workers) as pool:
+        try:
+            futures = [pool.submit(call, copy_context(), item) for item in items]
+            return [future.result() for future in futures]
+        finally:
+            stop.set()
 
 
 def _run_strips(height: int, width: int, fn, dtypes) -> tuple:
@@ -103,9 +139,8 @@ def _run_strips(height: int, width: int, fn, dtypes) -> tuple:
     kernel's temporaries: allocated first, they made a 256^2 `run_pair`
     slower, through more page faults as the C heap grew. A block that is not
     C-contiguous is copied, so every output is. Otherwise the outputs are
-    allocated before any strip runs, strips of about
-    `_STRIP_PIXELS` pixels run on one thread per CPU (inline on one CPU),
-    and each copies its rows in.
+    allocated before any strip runs, strips of about `_STRIP_PIXELS` pixels
+    run through `_pooled`, and each copies its rows in.
     """
     rows = max(1, _STRIP_PIXELS // width)
 
@@ -120,18 +155,7 @@ def _run_strips(height: int, width: int, fn, dtypes) -> tuple:
         for out, block in zip(outputs, strip(top), strict=True):
             out[top:top + rows] = block
 
-    tops = range(0, height, rows)
-    workers = _worker_count(len(tops))
-    if workers == 1:
-        for top in tops:
-            run(top)
-    else:
-        # A pool per call: a process forked later inherits no idle threads.
-        # Each strip runs in a copy of the caller's context, so the caller's
-        # np.errstate holds in the workers as it does inline.
-        contexts = [copy_context() for _ in tops]
-        with ThreadPoolExecutor(workers) as pool:  # map re-raises a strip's exception
-            list(pool.map(lambda context, top: context.run(run, top), contexts, tops))
+    _pooled(run, range(0, height, rows))
     return outputs
 
 

@@ -115,8 +115,9 @@ def _orientation(sx: np.ndarray, sy: np.ndarray) -> np.ndarray:
     so no masked pass is needed. The derivatives come from integers, so sx
     is never -0.0.
     """
+    ratio = np.where(sx != 0.0, sy, 1.0)
     with np.errstate(divide="ignore"):
-        ratio = np.divide(np.where(sx != 0.0, sy, 1.0), sx)
+        np.divide(ratio, sx, out=ratio)
     return np.arctan(ratio, out=ratio)
 
 
@@ -162,7 +163,8 @@ def _sigmoid_in_place(x: np.ndarray, gamma: float, kappa: float, sigma: float) -
     return np.divide(gamma, x, out=x)
 
 
-def _preservation(src: EdgeMap, fused: EdgeMap, k: QabfConstants) -> np.ndarray:
+def _preservation(src: EdgeMap, fused: EdgeMap, k: QabfConstants,
+                  reuse_fused: bool = False) -> np.ndarray:
     """Per-pixel edge preservation of one source in the fused raster.
 
     The steps are those of the expression
@@ -174,15 +176,19 @@ def _preservation(src: EdgeMap, fused: EdgeMap, k: QabfConstants) -> np.ndarray:
         where(gs > 0, qg * qa, 0)
 
     run in place, in the same order, so every bit of the result is the
-    expression's. Two full-size buffers hold the work, plus a short-lived
-    one for pi - diff. The clip is left out, since it never changes a
-    value: orientations lie in [-pi/2, pi/2], so diff lies in [0, pi], and
-    where diff >= pi/2, pi - diff is exact (Sterbenz), so the folded
-    difference lies in [0, pi/2].
+    expression's. Two full-size buffers hold the work, plus one for
+    pi - diff. With reuse_fused=True, for a caller that no longer needs the
+    fused edge map, min(gs, gf) is written into the fused strength, which
+    becomes the result, and pi - diff into the fused orientation, each
+    after its last read: one full-size buffer is allocated instead of
+    three. The clip is left out, since it never changes a value:
+    orientations lie in [-pi/2, pi/2], so diff lies in [0, pi], and where
+    diff >= pi/2, pi - diff is exact (Sterbenz), so the folded difference
+    lies in [0, pi/2].
     """
     gs, gf = src.strength, fused.strength
-    qg = np.minimum(gs, gf)
     gmax = np.maximum(gs, gf)
+    qg = np.minimum(gs, gf, out=gf if reuse_fused else None)
     # 0 / 0 leaves NaN where gmax == 0. Strengths are >= 0, so gs == 0 there
     # too, and the final copyto zeroes those pixels.
     with np.errstate(invalid="ignore"):
@@ -191,7 +197,8 @@ def _preservation(src: EdgeMap, fused: EdgeMap, k: QabfConstants) -> np.ndarray:
 
     qa = np.subtract(src.orientation, fused.orientation, out=gmax)
     np.abs(qa, out=qa)
-    np.minimum(qa, math.pi - qa, out=qa)
+    folded = np.subtract(math.pi, qa, out=fused.orientation if reuse_fused else None)
+    np.minimum(qa, folded, out=qa)
     np.divide(qa, math.pi / 2, out=qa)
     np.subtract(1.0, qa, out=qa)
     _sigmoid_in_place(qa, k.gamma_a, k.kappa_a, k.sigma_a)
@@ -267,7 +274,8 @@ def qabf(a: np.ndarray, b: np.ndarray, f: np.ndarray,
         edges_f = _sobel(f, top, bottom)
         kept = _preservation(_edge_rows(edges_a, top, bottom), edges_f, k)
         kept *= weight_a[top:bottom]
-        kept_b = _preservation(_edge_rows(edges_b, top, bottom), edges_f, k)
+        # The fused edges are dead after this call, so it writes into them.
+        kept_b = _preservation(_edge_rows(edges_b, top, bottom), edges_f, k, reuse_fused=True)
         kept_b *= weight_b[top:bottom]
         kept += kept_b
         return (kept,)

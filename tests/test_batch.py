@@ -1,11 +1,14 @@
 """Batch harness: discovery, manifests, aggregation, and report emission."""
 
 import json
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
-from momentfuse import batch, metrics
+from momentfuse import batch, fusion, metrics
 from momentfuse.fusion import PcaFuser
 from momentfuse.batch import (
     EmptyBatchError,
@@ -96,18 +99,27 @@ def _source_pair(case):
     return pair.a, pair.b
 
 
-@pytest.mark.parametrize("case, constants", [
-    ("default", None),
-    ("default", QabfConstants(weight_exponent=2.0)),
-    ("same object", None),
-    ("int64", None),
+_CASES = [
+    ("default-None", "default", None),
+    ("default-constants1", "default", QabfConstants(weight_exponent=2.0)),
+    ("same object-None", "same object", None),
+    ("int64-None", "int64", None),
+]
+
+
+@pytest.mark.parametrize("case, constants, keep_results", [
+    pytest.param(case, constants, keep, id=name if keep else f"{name}-records")
+    for keep in (True, False) for name, case, constants in _CASES
 ])
-def test_run_pair_records_equal_standalone_evaluate(case, constants):
+def test_run_pair_records_equal_standalone_evaluate(case, constants, keep_results):
     a, b = _source_pair(case)
-    outcomes = run_pair(a, b, constants=constants)
+    outcomes = run_pair(a, b, constants=constants, keep_results=keep_results)
     assert [o.method for o in outcomes] == ["average", "moment", "pca"]
-    for outcome in outcomes:
-        standalone = evaluate(a, b, outcome.result.fused_u8, constants)
+    # Without results the records must be those of the kept fused rasters.
+    fused = outcomes if keep_results else run_pair(a, b)
+    for outcome, kept in zip(outcomes, fused):
+        assert (outcome.result is not None) == keep_results
+        standalone = evaluate(a, b, kept.result.fused_u8, constants)
         assert repr(outcome.record) == repr(standalone)
     assert metrics._SOURCE_TERMS.get() is None
 
@@ -126,13 +138,24 @@ def sobel_calls(monkeypatch):
     return calls
 
 
-def test_source_term_scope_unset_after_failure_mid_loop(sobel_calls):
+def test_source_term_scope_unset_after_failure_mid_loop(sobel_calls, monkeypatch):
     a, b = _source_pair("default")
-    with pytest.raises(ValueError, match="source"):
-        run_pair(a, b, source="bad")
-    # "average" was scored (both sources; the fused raster's edges are
-    # computed per strip, not through `sobel_edges`) before the moment fuser
-    # rejected the source.
+    qabf = metrics.qabf
+    scored = []
+
+    def failing_second(*args):
+        scored.append(len(scored))
+        if len(scored) == 2:
+            raise RuntimeError("second method's score failed")
+        return qabf(*args)
+
+    monkeypatch.setattr(metrics, "qabf", failing_second)
+    with pytest.raises(RuntimeError, match="second method"):
+        run_pair(a, b)
+    # Every method was fused first; "average" was then scored (both sources;
+    # the fused raster's edges are computed per strip, not through
+    # `sobel_edges`) before scoring "moment" failed.
+    assert len(scored) == 2
     assert len(sobel_calls) == 2
     assert metrics._SOURCE_TERMS.get() is None
 
@@ -242,6 +265,92 @@ def test_run_batch_lets_keyboard_interrupt_through(tmp_path, monkeypatch):
     fail_pca_on(monkeypatch, read_pgm(pairs[1].path_a), KeyboardInterrupt())
     with pytest.raises(KeyboardInterrupt):
         run_batch(pairs)
+
+
+def use_workers(monkeypatch, workers):
+    monkeypatch.setattr(fusion, "_worker_count", lambda tasks: min(tasks, workers))
+
+
+def write_mixed_dir(tmp_path):
+    """Four good pairs (000 to 003) with an undecodable pair and a shape
+    mismatch among them."""
+    write_pair_dir(tmp_path, n=4)
+    (tmp_path / "001x_a.pgm").write_bytes(b"P6 broken")
+    write_pgm(tmp_path / "001x_b.pgm", np.zeros((4, 4), dtype=np.uint8))
+    write_pgm(tmp_path / "002x_a.pgm", np.zeros((4, 4), dtype=np.uint8))
+    write_pgm(tmp_path / "002x_b.pgm", np.zeros((5, 4), dtype=np.uint8))
+    return discover_pairs(tmp_path)[0]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_batch_calls_run_pair_once_per_decodable_pair(tmp_path, monkeypatch, workers):
+    # The benchmark spans `batch.run_pair` by swapping the module attribute,
+    # so every pair must go through that name, pooled and inline.
+    use_workers(monkeypatch, workers)
+    pairs = write_mixed_dir(tmp_path)
+    calls = []
+    run_pair = batch.run_pair
+
+    def counting(a, b, *args, **kwargs):
+        calls.append(a.tobytes())
+        return run_pair(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(batch, "run_pair", counting)
+    report = run_batch(pairs)
+    assert len(calls) == 4 == len({row.pair_id for row in report.rows})
+    decoded = [read_pgm(spec.path_a).tobytes() for spec in pairs if "x" not in spec.pair_id]
+    assert sorted(calls) == sorted(decoded)
+
+
+def test_run_batch_reports_are_the_same_bytes_on_any_worker_count(tmp_path, monkeypatch):
+    pairs = write_mixed_dir(tmp_path)
+    failing = next(spec for spec in pairs if spec.pair_id == "002")
+    fail_pca_on(monkeypatch, read_pgm(failing.path_a), MemoryError("injected"))
+    emitted = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # more thread switches inside each pair
+    try:
+        for workers in (1, 2, 4):  # 4 pair workers contend for fewer CPUs on small hosts
+            use_workers(monkeypatch, workers)
+            threads = threading.active_count()
+            report = run_batch(pairs)
+            assert threading.active_count() == threads
+            emitted.append((emit_report(report, "csv"), emit_report(report, "json"),
+                            report.skipped))
+    finally:
+        sys.setswitchinterval(interval)
+    assert emitted[0] == emitted[1] == emitted[2]
+    assert [pid for pid, _ in emitted[0][2]] == ["001x", "002", "002x"]
+    assert metrics._SOURCE_TERMS.get() is None
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_keyboard_interrupt_stops_the_batch_within_one_pair_per_worker(tmp_path, monkeypatch,
+                                                                       workers):
+    # The pairs queued behind a failing one must not run before the
+    # interrupt propagates. The other pairs take longer than the failing
+    # one, so they are still running when it raises.
+    use_workers(monkeypatch, workers)
+    write_pair_dir(tmp_path, n=6)
+    pairs, _ = discover_pairs(tmp_path)
+    bad_a = read_pgm(pairs[1].path_a)
+    fail_pca_on(monkeypatch, bad_a, KeyboardInterrupt())
+    calls = []
+    run_pair = batch.run_pair
+
+    def slow_unless_failing(a, b, *args, **kwargs):
+        calls.append(a)
+        if not np.array_equal(a, bad_a):
+            time.sleep(0.05)
+        return run_pair(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(batch, "run_pair", slow_unless_failing)
+    threads = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        run_batch(pairs)
+    assert threading.active_count() == threads
+    assert 2 <= len(calls) <= 1 + workers
+    assert metrics._SOURCE_TERMS.get() is None
 
 
 def test_aggregates_equal_recomputed_means(tmp_path):
