@@ -22,7 +22,7 @@ from .batch import (
     run_batch,
 )
 from .filters import DEFAULT_CENTER_WEIGHT
-from .fusion import FUSION_METHODS, make_fuser
+from .fusion import FUSION_METHODS, MomentFuser, make_fuser
 from .metrics import evaluate
 from .pgm import PgmError, read_pgm, write_atomically, write_pgm
 from .synthetic import synthesize_pairs
@@ -164,13 +164,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_fuse(args) -> int:
-    a = read_pgm(args.in_a)
-    b = read_pgm(args.in_b)
     fuser = make_fuser(args.method, **_fuser_params(args))
-    result = fuser.fuse(a, b)
-    if args.dump_decision is not None and result.decision is None:
+    if args.dump_decision is not None and not isinstance(fuser, MomentFuser):
         raise UsageError(
             f"--dump-decision needs a selection method; {args.method!r} has no decision map")
+    a = read_pgm(args.in_a)
+    b = read_pgm(args.in_b)
+    result = fuser.fuse(a, b)
     write_pgm(args.out, result.fused_u8)
     if args.dump_decision is not None:
         write_pgm(args.dump_decision, np.where(result.decision, 255, 0).astype(np.uint8))

@@ -69,7 +69,7 @@ def load_pgm(data: bytes) -> np.ndarray:
         separator = data[end:end + 1]
         if len(separator) != 1 or separator not in _WHITESPACE:
             raise PgmError(f"maxval must be followed by one whitespace byte, got {separator!r}")
-        body = data[end + 1:]
+        body = memoryview(data)[end + 1:]  # no copy; the decoded array is copied once below
     else:
         body = _COMMENT.sub(b"", data[end:]).split()
     count = width * height
@@ -91,7 +91,8 @@ def load_pgm(data: bytes) -> np.ndarray:
     low, high = samples.min(), samples.max()
     if low < 0 or high > maxval:
         raise PgmError(f"sample {low if low < 0 else high} out of range [0, {maxval}]")
-    return samples.astype(np.uint8, copy=False).reshape(height, width)
+    # A P5 array is a view of `data`; this copy makes every result writable.
+    return samples.astype(np.uint8).reshape(height, width)
 
 
 def save_pgm(img: np.ndarray, binary: bool = True) -> bytes:

@@ -77,6 +77,16 @@ def test_fuse_dump_decision_requires_selection_method(pair_files, tmp_path):
     assert not (tmp_path / "f.pgm").exists()
 
 
+def test_fuse_dump_decision_without_selection_is_rejected_before_any_io(tmp_path, capsys):
+    code = main(["fuse", "--in-a", str(tmp_path / "nope_a.pgm"),
+                 "--in-b", str(tmp_path / "nope_b.pgm"), "--out", str(tmp_path / "f.pgm"),
+                 "--method", "average", "--dump-decision", str(tmp_path / "d.pgm")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--dump-decision" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_fuse_missing_input_is_data_error(tmp_path):
     code = main(["fuse", "--in-a", str(tmp_path / "nope.pgm"),
                  "--in-b", str(tmp_path / "nope.pgm"), "--out", str(tmp_path / "f.pgm")])

@@ -3,6 +3,9 @@
 import math
 import sys
 import threading
+import time
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -292,6 +295,93 @@ def test_orientation_lies_in_closed_half_pi_range_on_every_derivative_pair():
         orientation = metrics._orientation(block[:, None], values[None, :])
         assert orientation.min() >= -math.pi / 2
         assert orientation.max() <= math.pi / 2
+
+
+def test_strength_equals_hypot_on_every_derivative_pair():
+    # The exact integer sum's sqrt, with np.hypot on the suspect table's
+    # pixels, must give np.hypot's bits of the float64 derivatives on every
+    # pair a uint8 raster can produce, signs and argument order included.
+    values = np.arange(-1020, 1021, dtype=np.int16)
+    for block in np.array_split(values, 8):
+        sx, sy = np.broadcast_arrays(block[:, None], values[None, :])
+        expected = np.hypot(sx.astype(np.float64), sy.astype(np.float64))
+        strength = metrics._strength(sx, sy)
+        assert strength.dtype == np.float64
+        assert strength.tobytes() == expected.tobytes()
+
+
+def test_orientation_of_int16_derivatives_equals_the_float_expression_on_every_pair():
+    values = np.arange(-1020, 1021, dtype=np.int16)
+    for block in np.array_split(values, 8):
+        sx, sy = block[:, None], values[None, :]
+        fx, fy = sx.astype(np.float64), sy.astype(np.float64)
+        with np.errstate(divide="ignore"):
+            expected = np.arctan(np.where(fx != 0.0, fy, 1.0) / fx)
+        orientation = metrics._orientation(sx, sy)
+        assert orientation.dtype == np.float64
+        assert orientation.tobytes() == expected.tobytes()
+
+
+def test_sobel_keeps_its_derivatives_int16():
+    padded = image.padded_rows(np.arange(12, dtype=np.uint8).reshape(3, 4), -1, 4, 1,
+                               dtype=np.int16)
+    assert metrics._sobel_x(padded).dtype == np.int16
+
+
+def test_suspect_table_is_built_once_by_two_threads_that_need_it_first(monkeypatch, capfd):
+    # The first Sobel of a process may run in two pair workers at once; the
+    # table must be built once, and neither may read it half-filled.
+    rng = np.random.default_rng(71)
+    img = rng.integers(0, 256, size=(300, 300), dtype=np.uint8)
+    expected = sobel_edges(img)
+    build = metrics._build_suspects
+    builds = []
+
+    def counting_build():
+        builds.append(threading.get_ident())
+        time.sleep(0.05)  # the other thread reaches the table meanwhile
+        return build()
+
+    monkeypatch.setattr(metrics, "_suspect_table", None)
+    monkeypatch.setattr(metrics, "_build_suspects", counting_build)
+    threads_before = threading.active_count()
+    start = threading.Barrier(2)
+    results = [None, None]
+
+    def work(index):
+        start.wait(timeout=10)
+        results[index] = sobel_edges(img)
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        workers = [threading.Thread(target=work, args=(index,)) for index in range(2)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    assert not any(worker.is_alive() for worker in workers)
+    assert len(builds) == 1
+    for edges in results:
+        assert edges.strength.tobytes() == expected.strength.tobytes()
+        assert edges.orientation.tobytes() == expected.orientation.tobytes()
+    assert threading.active_count() == threads_before
+    assert capfd.readouterr().out == ""
+    assert caught == []
+
+
+def test_suspect_table_build_needs_little_scratch_memory():
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        table = metrics._build_suspects()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert table.dtype == bool and table.shape == ((2 * 1020 ** 2 >> 3) + 1,)
+    assert peak - before - table.nbytes <= 256 * 1024
 
 
 def test_sobel_orientation_range():

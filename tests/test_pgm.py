@@ -30,6 +30,19 @@ def test_decode_p2_equals_p5():
     assert np.array_equal(p5, p2)
 
 
+def test_both_encodings_decode_to_equal_writable_contiguous_arrays(tmp_path):
+    img = np.arange(12, dtype=np.uint8).reshape(3, 4) * 20
+    decoded = []
+    for binary in (True, False):
+        path = tmp_path / f"{binary}.pgm"
+        write_pgm(path, img, binary=binary)
+        decoded += [load_pgm(save_pgm(img, binary=binary)), read_pgm(path)]
+    for arr in decoded:
+        assert np.array_equal(arr, img) and arr.dtype == np.uint8
+        assert arr.flags.writeable and arr.flags.c_contiguous
+        arr[arr > 200] = 255
+
+
 def test_header_comments_allowed():
     data = b"P5\n# a comment\n2 # trailing\n2\n# another\n255\n" + bytes([1, 2, 3, 4])
     img = load_pgm(data)
