@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fusion import FUSION_METHODS, FusionResult, _pooled, make_fuser
+from .fusion import FUSION_METHODS, Fuser, FusionResult, _pooled, make_fuser
 from .metrics import MetricsRecord, QabfConstants, _shared_source_terms, evaluate
 from .pgm import PgmError, read_pgm
 from .validation import ShapeMismatchError, check_same_shape
@@ -125,18 +125,21 @@ def run_pair(a: np.ndarray, b: np.ndarray, methods=FUSION_METHODS,
 
     Methods run in sorted order; unknown method names raise ValueError.
     Extra keyword arguments are forwarded to the fusers that accept them.
-    Every method is fused before any is scored, so the sources' Sobel maps
-    and edge weights, computed once and shared by every method's
-    evaluation, never coexist with a fuser's temporaries. With
+    The pair is checked once, and every fuser and evaluation gets the
+    checked arrays. Every method is fused before any is scored, so the
+    sources' Sobel maps and edge weights, computed once and shared by every
+    method's evaluation, never coexist with a fuser's temporaries. With
     keep_results=False only each method's `fused_u8` is kept past its fuse,
     and every outcome's `result` is None.
     """
+    a, b = Fuser._check_pair(a, b)
+
     def fuse(method):
         result = make_fuser(method, **fuser_params).fuse(a, b)
         return method, result.fused_u8, result if keep_results else None
 
     fused = [fuse(method) for method in sorted(set(methods))]
-    with _shared_source_terms():
+    with _shared_source_terms(a, b):
         return [PairOutcome(method=method, result=result,
                             record=evaluate(a, b, fused_u8, constants))
                 for method, fused_u8, result in fused]

@@ -8,6 +8,7 @@ those win on conflict.
 
 import argparse
 import ctypes
+import dataclasses
 import json
 import os
 import sys
@@ -95,8 +96,7 @@ def _methods(text: str) -> list:
 
 
 def _fuser_params(args) -> dict:
-    keys = ("p", "q", "window", "magnitude", "source", "center")
-    return {key: getattr(args, key) for key in keys}
+    return {field.name: getattr(args, field.name) for field in dataclasses.fields(MomentFuser)}
 
 
 def _add_fusion_flags(parser):
@@ -148,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--report", required=True, help="report output path")
     batch.add_argument("--format", choices=("csv", "json"), default="csv")
     batch.add_argument("--seed", type=int, default=0,
-                       help="seed recorded for scripted runs; batch processing is deterministic")
+                       help="accepted and ignored: batch processing is deterministic")
     _add_fusion_flags(batch)
 
     synth = command("synth", cmd_synth, "generate complementary-blur test pairs")
@@ -257,20 +257,12 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    except UsageError as exc:
-        print(f"momentfuse: error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        # Covers ShapeMismatchError and PgmError (both ValueError subclasses)
-        # as well as bad parameter values from the library layer.
-        if isinstance(exc, (PgmError, ShapeMismatchError)):
-            print(f"momentfuse: data error: {exc}", file=sys.stderr)
-            return 2
-        print(f"momentfuse: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (PgmError, ShapeMismatchError, OSError) as exc:
         print(f"momentfuse: data error: {exc}", file=sys.stderr)
         return 2
+    except (UsageError, ValueError) as exc:  # ValueError: a bad parameter value
+        print(f"momentfuse: error: {exc}", file=sys.stderr)
+        return 1
     except EmptyBatchError as exc:
         print(f"momentfuse: {exc}", file=sys.stderr)
         return 3

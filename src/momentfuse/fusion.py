@@ -71,8 +71,11 @@ def local_moment_map(img: np.ndarray, p: int = 1, q: int = 1, window: int = 3,
 
 
 def _moment_weights(p: int, q: int, window: int) -> np.ndarray:
-    """The window's weights r**p * c**q; raises ValueError unless the window
-    is odd and >= 1 and both orders are in range."""
+    """The window's weights r**p * c**q; raises ValueError unless all three
+    are integers, the window is odd and >= 1 and both orders are in range."""
+    for name, value in (("p", p), ("q", q), ("window", window)):
+        if not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if window < 1 or window % 2 == 0:
         raise ValueError(f"window must be odd and >= 1, got {window}")
     if not (0 <= p <= MAX_MOMENT_ORDER and 0 <= q <= MAX_MOMENT_ORDER):

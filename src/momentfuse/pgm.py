@@ -31,10 +31,12 @@ class PgmError(ValueError):
 def load_pgm(data: bytes) -> np.ndarray:
     """Decode a P2 or P5 PGM byte stream into a uint8 (height, width) array.
 
+    Header fields and P2 samples are ASCII decimal digits, with no sign.
     Raises PgmError with a distinct message for: unsupported magic number,
-    zero dimensions, maxval out of range, a P5 maxval not followed by one
-    whitespace byte, samples above maxval, truncated sample data, and data
-    left over after the raster (for P2, anything but whitespace and comments).
+    a field or sample that is not digits, zero dimensions, maxval out of
+    range, a P5 maxval not followed by one whitespace byte, samples above
+    maxval, truncated sample data, and data left over after the raster (for
+    P2, anything but whitespace and comments).
     """
     end = 0
 
@@ -48,10 +50,9 @@ def load_pgm(data: bytes) -> np.ndarray:
 
     def int_field(what):
         token = field(what)
-        try:
-            return int(token)
-        except ValueError:
-            raise PgmError(f"invalid {what}: {token!r}") from None
+        if not token.isdigit():  # ASCII decimal digits; int() would take "+7" or "1_0"
+            raise PgmError(f"invalid {what}: {token!r}")
+        return int(token)
 
     magic = field("magic number")
     if magic not in (b"P2", b"P5"):
@@ -59,7 +60,7 @@ def load_pgm(data: bytes) -> np.ndarray:
     width = int_field("width")
     height = int_field("height")
     if width < 1 or height < 1:
-        raise PgmError(f"zero or negative dimension: {width}x{height}")
+        raise PgmError(f"zero dimension: {width}x{height}")
     maxval = int_field("maxval")
     if maxval < 1 or maxval > 255:
         raise PgmError(f"maxval {maxval} out of supported range [1, 255]")
@@ -83,14 +84,14 @@ def load_pgm(data: bytes) -> np.ndarray:
     if magic == b"P5":
         samples = np.frombuffer(body, dtype=np.uint8)
     else:
-        try:
-            samples = np.array(list(map(int, body)))
-        except ValueError as exc:
-            raise PgmError(f"invalid ASCII sample: {exc}") from None
+        if not b"".join(body).isdigit():
+            bad = next(token for token in body if not token.isdigit())
+            raise PgmError(f"invalid ASCII sample: {bad!r}")
+        samples = np.array(list(map(int, body)))
     # Ints too large for int64 make an object array, which fails here too.
-    low, high = samples.min(), samples.max()
-    if low < 0 or high > maxval:
-        raise PgmError(f"sample {low if low < 0 else high} out of range [0, {maxval}]")
+    high = samples.max()
+    if high > maxval:
+        raise PgmError(f"sample {high} out of range [0, {maxval}]")
     # A P5 array is a view of `data`; this copy makes every result writable.
     return samples.astype(np.uint8).reshape(height, width)
 

@@ -93,17 +93,21 @@ def _source_pair(case):
     _, pair = synthesize_pairs(1, sigma=2.0, seed=5, height=24, width=29)[0]
     if case == "same object":
         return pair.a, pair.a
+    # Validation copies these into new uint8 arrays on every call.
     if case == "int64":
-        # Validation copies these into new uint8 arrays on every call.
         return pair.a.astype(np.int64), pair.b.astype(np.int64)
+    if case == "fortran":
+        return np.asfortranarray(pair.a), np.asfortranarray(pair.b)
     return pair.a, pair.b
 
 
+_SOURCE_CASES = ["default", "same object", "int64", "fortran"]
 _CASES = [
     ("default-None", "default", None),
     ("default-constants1", "default", QabfConstants(weight_exponent=2.0)),
     ("same object-None", "same object", None),
     ("int64-None", "int64", None),
+    ("fortran-None", "fortran", None),
 ]
 
 
@@ -160,16 +164,50 @@ def test_source_term_scope_unset_after_failure_mid_loop(sobel_calls, monkeypatch
     assert metrics._SOURCE_TERMS.get() is None
 
 
-def test_run_pair_computes_source_sobel_maps_once(sobel_calls):
-    a, b = _source_pair("default")
+@pytest.mark.parametrize("case", _SOURCE_CASES)
+def test_run_pair_computes_source_sobel_maps_once(sobel_calls, case):
+    a, b = _source_pair(case)
     outcomes = run_pair(a, b)
-    # Two sources once for all methods (was twice per method); the fused
-    # rasters' edges are computed per strip, not through `sobel_edges`.
+    # Two sources once for all methods (was twice per method), whatever the
+    # sources' dtype or layout; the fused rasters' edges are computed per
+    # strip, not through `sobel_edges`.
     assert len(outcomes) == 3
     assert len(sobel_calls) == 2
     sobel_calls.clear()
     evaluate(a, b, outcomes[0].result.fused_u8)
     assert len(sobel_calls) == 2
+
+
+def test_source_terms_are_shared_only_for_the_scope_pair_itself(sobel_calls):
+    a, b = _source_pair("default")
+    with metrics._shared_source_terms(a, b):
+        for _ in range(2):
+            metrics.qabf(a, b, a)
+        assert len(sobel_calls) == 2
+        # Equal values in another object, or the pair swapped, are not the pair.
+        metrics.qabf(a, b.copy(), a)
+        metrics.qabf(b, a, a)
+        assert len(sobel_calls) == 6
+    assert metrics._SOURCE_TERMS.get() is None
+
+
+def test_run_pair_calls_batch_evaluate_once_per_method_in_the_pair_scope(monkeypatch):
+    # The traced benchmark swaps `batch.evaluate`, so `run_pair` must reach
+    # `evaluate` through that name, within the scope of its checked pair.
+    a, b = _source_pair("int64")
+    calls = []
+
+    def recording(a, b, f, constants=None):
+        scope = metrics._SOURCE_TERMS.get()
+        calls.append(scope is not None and scope[0] is a and scope[1] is b)
+        return evaluate(a, b, f, constants)
+
+    monkeypatch.setattr(batch, "evaluate", recording)
+    outcomes = run_pair(a, b)
+    assert calls == [True, True, True]
+    for outcome in outcomes:
+        assert repr(outcome.record) == repr(evaluate(a, b, outcome.result.fused_u8))
+    assert metrics._SOURCE_TERMS.get() is None
 
 
 def test_run_batch_skips_bad_pairs(tmp_path):
@@ -216,6 +254,7 @@ def test_run_batch_missing_file_is_skipped(tmp_path):
     (("moment",), {"source": "raw"}, "source must be 'filtered' or 'original'"),
     (("moment",), {"center": float("nan")}, "must be finite"),
     (("average", "dwt"), {}, "unknown fusion method 'dwt'"),
+    (("moment",), {"window": 3.0}, "window must be an integer"),
 ])
 def test_run_batch_checks_methods_and_parameters_before_reading(tmp_path, monkeypatch,
                                                                 methods, params, message):

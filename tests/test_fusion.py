@@ -461,6 +461,9 @@ def assert_same_outputs(result, expected):
     ({"window": 2}, "window must be odd and >= 1, got 2"),
     ({"p": 7}, "moment orders must be in [0, 4], got p=7, q=1"),
     ({"source": "both"}, "source must be 'filtered' or 'original', got 'both'"),
+    ({"p": 1.5}, "p must be an integer, got 1.5"),
+    ({"q": 1.0}, "q must be an integer, got 1.0"),
+    ({"window": 3.0}, "window must be an integer, got 3.0"),
 ])
 def test_fuse_rejects_bad_params_before_tiling(shape, params, message):
     # A negative window used to give a negative halo, and with it an empty

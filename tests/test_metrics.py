@@ -322,10 +322,31 @@ def test_orientation_of_int16_derivatives_equals_the_float_expression_on_every_p
         assert orientation.tobytes() == expected.tobytes()
 
 
-def test_sobel_keeps_its_derivatives_int16():
-    padded = image.padded_rows(np.arange(12, dtype=np.uint8).reshape(3, 4), -1, 4, 1,
-                               dtype=np.int16)
-    assert metrics._sobel_x(padded).dtype == np.int16
+def test_sobel_keeps_its_derivatives_int16(monkeypatch):
+    # The derivatives that reach `_strength` and `_orientation` must be the
+    # stencil's integers, in int16, on 1-row and 1-column rasters too.
+    seen = []
+
+    def capture(fn):
+        def wrapper(sx, sy):
+            seen.append((fn.__name__, sx, sy))
+            return fn(sx, sy)
+        return wrapper
+
+    monkeypatch.setattr(metrics, "_strength", capture(metrics._strength))
+    monkeypatch.setattr(metrics, "_orientation", capture(metrics._orientation))
+    rng = np.random.default_rng(29)
+    shapes = [(1, 1), (1, 9), (9, 1), (2, 3), (17, 13), (40, 64)]
+    rasters = [rng.integers(0, 256, size=shape, dtype=np.uint8) for shape in shapes]
+    rasters += [np.where(rng.random(shape) < 0.5, 0, 255).astype(np.uint8) for shape in shapes]
+    for img in rasters:
+        seen.clear()
+        metrics._sobel(img, 0, img.shape[0])
+        expected_sx, expected_sy = naive_sobel(img)
+        assert sorted(name for name, _, _ in seen) == ["_orientation", "_strength"]
+        for _, sx, sy in seen:
+            assert sx.dtype == np.int16 and sy.dtype == np.int16
+            assert np.array_equal(sx, expected_sx) and np.array_equal(sy, expected_sy)
 
 
 def test_suspect_table_is_built_once_by_two_threads_that_need_it_first(monkeypatch, capfd):

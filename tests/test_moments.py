@@ -119,3 +119,16 @@ def test_rejects_bad_window_and_orders():
         local_moment_map(img, p=5)
     with pytest.raises(ValueError):
         local_moment_map(img, q=-1)
+    # The docstring defines integer moment orders on an integer window only.
+    with pytest.raises(ValueError, match="p must be an integer, got 0.5"):
+        local_moment_map(img, p=0.5)
+    with pytest.raises(ValueError, match="q must be an integer, got 2.0"):
+        local_moment_map(img, q=2.0)
+    with pytest.raises(ValueError, match="window must be an integer, got 3.0"):
+        local_moment_map(img, window=3.0)
+
+
+def test_accepts_numpy_integer_orders_and_window():
+    img = np.arange(20.0).reshape(4, 5)
+    assert np.array_equal(local_moment_map(img, p=np.int64(2), q=np.uint8(1), window=np.int32(3)),
+                          local_moment_map(img, p=2, q=1, window=3))

@@ -122,6 +122,19 @@ def test_reject_bad_ascii_sample():
         load_pgm(b"P2\n1 1\n255\n300\n")
 
 
+@pytest.mark.parametrize("data", [
+    b"P2 2 1 255 1_0 +7",  # int() reads these as 10 and 7
+    b"P2 1 1 255 -0",
+    b"P2 2 1 255 7 -0",
+    b"P5 +2 1 255 \x01\x02",
+    b"P5 2 1 2_55 \x01\x02",
+    b"P2 0x2 1 255 1 2",
+])
+def test_reject_integer_spellings_that_are_not_decimal_digits(data):
+    with pytest.raises(PgmError, match="invalid"):
+        load_pgm(data)
+
+
 def _decoded(data):
     try:
         return load_pgm(data).tolist()
@@ -254,10 +267,12 @@ def _tokens(data: bytes):
 def reference_load_pgm(data: bytes) -> np.ndarray:
     """Decode a P2 or P5 PGM byte stream into a uint8 (height, width) array.
 
+    Header fields and P2 samples are ASCII decimal digits, with no sign.
     Raises PgmError with a distinct message for: unsupported magic number,
-    zero dimensions, maxval out of range, a P5 maxval not followed by one
-    whitespace byte, samples above maxval, truncated sample data, and data
-    left over after the raster (for P2, anything but whitespace and comments).
+    a field or sample that is not digits, zero dimensions, maxval out of
+    range, a P5 maxval not followed by one whitespace byte, samples above
+    maxval, truncated sample data, and data left over after the raster (for
+    P2, anything but whitespace and comments).
     """
     toks = _tokens(data)
 
@@ -269,10 +284,9 @@ def reference_load_pgm(data: bytes) -> np.ndarray:
 
     def next_int(what):
         tok, end = next_token(what)
-        try:
-            return int(tok), end
-        except ValueError:
-            raise PgmError(f"invalid {what}: {tok!r}") from None
+        if not tok.isdigit():
+            raise PgmError(f"invalid {what}: {tok!r}")
+        return int(tok), end
 
     magic, _ = next_token("magic number")
     if magic not in (b"P2", b"P5"):
@@ -280,7 +294,7 @@ def reference_load_pgm(data: bytes) -> np.ndarray:
     width, _ = next_int("width")
     height, _ = next_int("height")
     if width < 1 or height < 1:
-        raise PgmError(f"zero or negative dimension: {width}x{height}")
+        raise PgmError(f"zero dimension: {width}x{height}")
     maxval, header_end = next_int("maxval")
     if maxval < 1 or maxval > 255:
         raise PgmError(f"maxval {maxval} out of supported range [1, 255]")
@@ -311,11 +325,10 @@ def reference_load_pgm(data: bytes) -> np.ndarray:
             # Only whitespace and comments may follow the last sample.
             if len(values) == count:
                 raise PgmError(f"trailing data: expected {count} ASCII samples, got more: {tok!r}")
-            try:
-                v = int(tok)
-            except ValueError:
-                raise PgmError(f"invalid ASCII sample {tok!r}") from None
-            if v < 0 or v > maxval:
+            if not tok.isdigit():
+                raise PgmError(f"invalid ASCII sample {tok!r}")
+            v = int(tok)
+            if v > maxval:
                 raise PgmError(f"ASCII sample {v} out of range [0, {maxval}]")
             values.append(v)
         if len(values) < count:
@@ -371,6 +384,11 @@ _headed = st.builds(
 @example(data=b"P2 2 1 255 -1 +5")
 @example(data=b"P2 1 1 255 x 5")
 @example(data=b"P2 2 1 255 99999999999999999999 007")
+# Integer spellings Python's int() takes and a PGM does not: not pixels.
+@example(data=b"P2 2 1 255 1_0 +7")
+@example(data=b"P2 1 1 255 -0")
+@example(data=b"P5 +2 1 255 \x01\x02")
+@example(data=b"P2 2 1 2_55 1 2")
 def test_decoder_yields_uint8_raster_or_pgm_error(data):
     # The first fault named may differ from the reference's, but the decoder
     # fails exactly when it does and otherwise returns the same raster.
