@@ -95,10 +95,12 @@ def read_manifest(path) -> list[PairSpec]:
     """Parse a manifest of `<id> <path_a> <path_b>` lines.
 
     Blank lines and `#` comments are allowed; relative paths are resolved
-    against the manifest's directory.
+    against the manifest's directory. A repeated id raises ValueError, since
+    its report rows could not be told apart.
     """
     root = os.path.dirname(os.path.abspath(path))
     pairs = []
+    first_lines = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
@@ -110,6 +112,10 @@ def read_manifest(path) -> list[PairSpec]:
                     f"{path}:{lineno}: expected '<id> <path_a> <path_b>', got {line!r}"
                 )
             pair_id, path_a, path_b = parts
+            if pair_id in first_lines:
+                raise ValueError(f"{path}:{lineno}: pair id {pair_id!r} already appears "
+                                 f"on line {first_lines[pair_id]}")
+            first_lines[pair_id] = lineno
             pairs.append(PairSpec(
                 pair_id,
                 os.path.join(root, path_a),
@@ -118,12 +124,20 @@ def read_manifest(path) -> list[PairSpec]:
     return pairs
 
 
+def _method_names(methods) -> list[str]:
+    """The distinct requested method names, sorted."""
+    if isinstance(methods, str):  # its letters would be taken for names
+        raise ValueError(f"methods must be a collection of method names, got {methods!r}")
+    return sorted(set(methods))
+
+
 def run_pair(a: np.ndarray, b: np.ndarray, methods=FUSION_METHODS,
              constants: Optional[QabfConstants] = None, *, keep_results: bool = True,
              **fuser_params) -> list[PairOutcome]:
     """Fuse one loaded pair with each requested method and evaluate it.
 
-    Methods run in sorted order; unknown method names raise ValueError.
+    Methods run in sorted order; unknown method names, or a bare string in
+    place of a collection of them, raise ValueError.
     Extra keyword arguments are forwarded to the fusers that accept them.
     The pair is checked once, and every fuser and evaluation gets the
     checked arrays. Every method is fused before any is scored, so the
@@ -138,7 +152,7 @@ def run_pair(a: np.ndarray, b: np.ndarray, methods=FUSION_METHODS,
         result = make_fuser(method, **fuser_params).fuse(a, b)
         return method, result.fused_u8, result if keep_results else None
 
-    fused = [fuse(method) for method in sorted(set(methods))]
+    fused = [fuse(method) for method in _method_names(methods)]
     with _shared_source_terms(a, b):
         return [PairOutcome(method=method, result=result,
                             record=evaluate(a, b, fused_u8, constants))
@@ -153,9 +167,9 @@ def run_batch(pairs: list[PairSpec], methods=FUSION_METHODS,
     reported under `skipped` with the error message; a pair whose fusion or
     evaluation raises is reported there as "<Type>: <message>" and leaves no
     row. KeyboardInterrupt still stops the run. Raises EmptyBatchError when
-    no pair at all produces a result. An unknown method or a bad fuser
-    parameter would fail every pair alike, so it raises ValueError before
-    any pair is read.
+    no pair at all produces a result. An unknown method, a bare string for
+    `methods` or a bad fuser parameter would fail every pair alike, so it
+    raises ValueError before any pair is read.
 
     Each pair is decoded and scored by `run_pair` without its results, on
     one thread per CPU (inline on one CPU), so at most one decoded pair per
@@ -163,7 +177,7 @@ def run_batch(pairs: list[PairSpec], methods=FUSION_METHODS,
     skipped list and both report formats are the same bytes on any number
     of CPUs.
     """
-    for method in sorted(set(methods)):
+    for method in _method_names(methods):
         make_fuser(method, **fuser_params)._check_params()
 
     def score(spec):

@@ -67,6 +67,7 @@ def local_moment_map(img: np.ndarray, p: int = 1, q: int = 1, window: int = 3,
     p = q = 0 degenerates to a plain box sum.
     """
     arr = check_image_float(img)
+    _check_magnitude(magnitude)
     return correlate(np.abs(arr) if magnitude else arr, _moment_weights(p, q, window))
 
 
@@ -74,7 +75,8 @@ def _moment_weights(p: int, q: int, window: int) -> np.ndarray:
     """The window's weights r**p * c**q; raises ValueError unless all three
     are integers, the window is odd and >= 1 and both orders are in range."""
     for name, value in (("p", p), ("q", q), ("window", window)):
-        if not isinstance(value, (int, np.integer)):
+        # A bool is an int, but True is no moment order.
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise ValueError(f"{name} must be an integer, got {value!r}")
     if window < 1 or window % 2 == 0:
         raise ValueError(f"window must be odd and >= 1, got {window}")
@@ -82,6 +84,13 @@ def _moment_weights(p: int, q: int, window: int) -> np.ndarray:
         raise ValueError(f"moment orders must be in [0, {MAX_MOMENT_ORDER}], got p={p}, q={q}")
     index = np.arange(1, window + 1, dtype=np.float64)
     return np.outer(index ** p, index ** q)
+
+
+def _check_magnitude(magnitude) -> None:
+    """Raise ValueError unless magnitude is a bool: any other value would
+    pick a branch by its truth."""
+    if not isinstance(magnitude, (bool, np.bool_)):
+        raise ValueError(f"magnitude must be a bool, got {magnitude!r}")
 
 
 def _worker_count(tasks: int) -> int:
@@ -239,6 +248,7 @@ class MomentFuser(Fuser):
         preprocessing mask and the moment window's weights."""
         if self.source not in ("filtered", "original"):
             raise ValueError(f"source must be 'filtered' or 'original', got {self.source!r}")
+        _check_magnitude(self.magnitude)
         return high_boost_mask(self.center), _moment_weights(self.p, self.q, self.window)
 
     def fuse(self, a, b) -> FusionResult:

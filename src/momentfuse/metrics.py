@@ -8,6 +8,7 @@ base-2 logarithms, so entropies and mutual information are in bits with an
 
 import contextlib
 import contextvars
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -86,21 +87,13 @@ def sobel_edges(img: np.ndarray) -> EdgeMap:
     horizontal derivative vanishes (including gradient-free pixels).
     """
     arr = check_image_u8(img)
-
-    def strip_edges(top, bottom):
-        edges = _sobel(arr, top, bottom)
-        return edges.strength, edges.orientation
-
-    return EdgeMap(*_run_strips(*arr.shape, strip_edges, (np.float64, np.float64)))
+    return EdgeMap(*_run_strips(*arr.shape, functools.partial(_sobel, arr),
+                                (np.float64, np.float64)))
 
 
-def _edge_rows(edges: EdgeMap, top: int, bottom: int) -> EdgeMap:
-    """Rows [top, bottom) of an edge map, as views."""
-    return EdgeMap(edges.strength[top:bottom], edges.orientation[top:bottom])
-
-
-def _sobel(img: np.ndarray, top: int, bottom: int) -> EdgeMap:
-    """Rows [top, bottom) of `sobel_edges` of a uint8 raster, without the checks."""
+def _sobel(img: np.ndarray, top: int, bottom: int) -> tuple:
+    """Rows [top, bottom) of `sobel_edges` of a uint8 raster, as (strength,
+    orientation), without the checks."""
     # On uint8 samples every partial sum is an integer in [-1020, 1020], so the
     # int16 derivatives equal the 3x3 float stencil bit for bit.
     padded = padded_rows(img, top - 1, bottom + 1, 1, dtype=np.int16)
@@ -111,7 +104,7 @@ def _sobel(img: np.ndarray, top: int, bottom: int) -> EdgeMap:
     # Freed before the float64 outputs are allocated, so those reuse the
     # memory: kept live, they made a 256² strip ~10% slower (2-core Xeon).
     del padded, down, across
-    return EdgeMap(strength=_strength(sx, sy), orientation=_orientation(sx, sy))
+    return _strength(sx, sy), _orientation(sx, sy)
 
 
 def _strength(sx: np.ndarray, sy: np.ndarray) -> np.ndarray:
@@ -229,52 +222,53 @@ def _sigmoid_in_place(x: np.ndarray, gamma: float, kappa: float, sigma: float) -
     return np.divide(gamma, x, out=x)
 
 
-def _preservation(src: EdgeMap, fused: EdgeMap, k: QabfConstants,
-                  reuse_fused: bool = False) -> np.ndarray:
-    """Per-pixel edge preservation of one source in the fused raster.
+def _kept(src_a: tuple, src_b: tuple, gf: np.ndarray, of: np.ndarray,
+          k: QabfConstants) -> np.ndarray:
+    """weight_a * Q_a + weight_b * Q_b per pixel, from rows of both sources,
+    each as (strength, orientation, weight), and the fused edge rows gf, of.
 
-    The steps are those of the expression
+    Q_s, the edge preservation of source s, runs the steps of the expression
 
         g_rel = where(gmax > 0, min(gs, gf) / gmax, 0)
         diff = |os - of|;  diff = min(diff, pi - diff)
         a_rel = 1 - clip(diff, 0, pi/2) / (pi/2)
         qg = gamma_g / (1 + exp(kappa_g * (g_rel - sigma_g)))   (qa alike)
-        where(gs > 0, qg * qa, 0)
+        Q_s = where(gs > 0, qg * qa, 0)
 
-    run in place, in the same order, so every bit of the result is the
-    expression's. Two full-size buffers hold the work, plus one for
-    pi - diff. With reuse_fused=True, for a caller that no longer needs the
-    fused edge map, min(gs, gf) is written into the fused strength, which
-    becomes the result, and pi - diff into the fused orientation, each
-    after its last read: one full-size buffer is allocated instead of
-    three. The clip is left out, since it never changes a value:
-    orientations lie in [-pi/2, pi/2], so diff lies in [0, pi], and where
-    diff >= pi/2, pi - diff is exact (Sterbenz), so the folded difference
-    lies in [0, pi/2].
+    in place, in the same order, so every bit of the result is the
+    expression's. Both sources run in three buffers: gmax, which then holds
+    qa; folded, for pi - diff; and kept, the first score and the result.
+    The second score goes into gf after its last read, its np.minimum. The
+    clip is left out, since it never changes a value: orientations lie in
+    [-pi/2, pi/2], so diff lies in [0, pi], and where diff >= pi/2,
+    pi - diff is exact (Sterbenz), so the folded difference lies in
+    [0, pi/2].
     """
-    gs, gf = src.strength, fused.strength
-    gmax = np.maximum(gs, gf)
-    qg = np.minimum(gs, gf, out=gf if reuse_fused else None)
-    # 0 / 0 leaves NaN where gmax == 0. Strengths are >= 0, so gs == 0 there
-    # too, and the final copyto zeroes those pixels.
-    with np.errstate(invalid="ignore"):
-        np.divide(qg, gmax, out=qg)
-    _sigmoid_in_place(qg, k.gamma_g, k.kappa_g, k.sigma_g)
+    gmax, kept, folded = (np.empty_like(gf) for _ in range(3))
+    for (gs, os, weight), score in ((src_a, kept), (src_b, gf)):
+        np.maximum(gs, gf, out=gmax)
+        np.minimum(gs, gf, out=score)
+        # 0 / 0 leaves NaN where gmax == 0. Strengths are >= 0, so gs == 0
+        # there too, and the copyto below zeroes those pixels.
+        with np.errstate(invalid="ignore"):
+            np.divide(score, gmax, out=score)
+        _sigmoid_in_place(score, k.gamma_g, k.kappa_g, k.sigma_g)
 
-    qa = np.subtract(src.orientation, fused.orientation, out=gmax)
-    np.abs(qa, out=qa)
-    folded = np.subtract(math.pi, qa, out=fused.orientation if reuse_fused else None)
-    np.minimum(qa, folded, out=qa)
-    np.divide(qa, math.pi / 2, out=qa)
-    np.subtract(1.0, qa, out=qa)
-    _sigmoid_in_place(qa, k.gamma_a, k.kappa_a, k.sigma_a)
+        qa = np.subtract(os, of, out=gmax)
+        np.abs(qa, out=qa)
+        np.subtract(math.pi, qa, out=folded)
+        np.minimum(qa, folded, out=qa)
+        np.divide(qa, math.pi / 2, out=qa)
+        np.subtract(1.0, qa, out=qa)
+        _sigmoid_in_place(qa, k.gamma_a, k.kappa_a, k.sigma_a)
 
-    np.multiply(qg, qa, out=qg)
-    # Gradient-free source pixels preserve nothing by convention; their zero
-    # weight removes them from the ratio anyway. Strengths are finite and
-    # >= 0, so gs == 0 is the complement of gs > 0.
-    np.copyto(qg, 0.0, where=gs == 0.0)
-    return qg
+        np.multiply(score, qa, out=score)
+        # Gradient-free source pixels preserve nothing by convention; their
+        # zero weight removes them from the ratio anyway. Strengths are
+        # finite and >= 0, so gs == 0 is the complement of gs > 0.
+        np.copyto(score, 0.0, where=gs == 0.0)
+        np.multiply(score, weight, out=score)
+    return np.add(kept, gf, out=kept)
 
 
 # The pair being scored, as (a, b, {weight_exponent: terms}). Set only inside
@@ -335,14 +329,10 @@ def qabf(a: np.ndarray, b: np.ndarray, f: np.ndarray,
     # scores are stitched into one full-size buffer that is summed at once: a
     # sum per strip would add in another order and change the last bit.
     def score_rows(top, bottom):
-        edges_f = _sobel(f, top, bottom)
-        kept = _preservation(_edge_rows(edges_a, top, bottom), edges_f, k)
-        kept *= weight_a[top:bottom]
-        # The fused edges are dead after this call, so it writes into them.
-        kept_b = _preservation(_edge_rows(edges_b, top, bottom), edges_f, k, reuse_fused=True)
-        kept_b *= weight_b[top:bottom]
-        kept += kept_b
-        return (kept,)
+        rows = slice(top, bottom)
+        return (_kept((edges_a.strength[rows], edges_a.orientation[rows], weight_a[rows]),
+                      (edges_b.strength[rows], edges_b.orientation[rows], weight_b[rows]),
+                      *_sobel(f, top, bottom), k),)
 
     kept, = _run_strips(*f.shape, score_rows, (np.float64,))
     return float(np.sum(kept) / total), False

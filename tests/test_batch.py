@@ -63,6 +63,18 @@ def test_manifest_parsing(tmp_path):
         read_manifest(bad)
 
 
+def test_manifest_rejects_a_repeated_pair_id(tmp_path):
+    # Each method's two rows for one id could not be told apart in a report.
+    manifest = tmp_path / "pairs.txt"
+    manifest.write_text("x 000_a.pgm 000_b.pgm\n"
+                        "# comment line\n"
+                        "y 001_a.pgm 001_b.pgm\n"
+                        "x 001_a.pgm 001_b.pgm\n")
+    with pytest.raises(ValueError) as info:
+        read_manifest(manifest)
+    assert str(info.value) == f"{manifest}:4: pair id 'x' already appears on line 1"
+
+
 def test_run_pair_identical_inputs_moment_identity():
     rng = np.random.default_rng(8)
     img = random_texture(20, 20, rng)
@@ -87,6 +99,21 @@ def test_run_pair_unknown_method():
     img = np.zeros((4, 4), dtype=np.uint8)
     with pytest.raises(ValueError, match="unknown fusion method"):
         run_pair(img, img, methods=("wavelet",))
+
+
+def test_bare_string_methods_is_rejected_before_any_pair_is_read(tmp_path, monkeypatch):
+    # A string is a collection of its letters, which read as method names.
+    message = "methods must be a collection of method names, got 'moment'"
+    img = np.zeros((4, 4), dtype=np.uint8)
+    with pytest.raises(ValueError, match=message):
+        run_pair(img, img, methods="moment")
+    write_pair_dir(tmp_path, n=1)
+    pairs, _ = discover_pairs(tmp_path)
+    reads = []
+    monkeypatch.setattr(batch, "read_pgm", lambda path: reads.append(path) or read_pgm(path))
+    with pytest.raises(ValueError, match=message):
+        run_batch(pairs, "moment")
+    assert reads == []
 
 
 def _source_pair(case):
@@ -255,6 +282,9 @@ def test_run_batch_missing_file_is_skipped(tmp_path):
     (("moment",), {"center": float("nan")}, "must be finite"),
     (("average", "dwt"), {}, "unknown fusion method 'dwt'"),
     (("moment",), {"window": 3.0}, "window must be an integer"),
+    (("moment",), {"magnitude": "no"}, "magnitude must be a bool, got 'no'"),
+    (("moment",), {"magnitude": None}, "magnitude must be a bool, got None"),
+    (("moment",), {"q": True}, "q must be an integer, got True"),
 ])
 def test_run_batch_checks_methods_and_parameters_before_reading(tmp_path, monkeypatch,
                                                                 methods, params, message):

@@ -36,8 +36,12 @@ EXPECTED = {
         "c64081f89383e9727d423dc4af97a565fa0500b397fc75a802dd84ac7fec88d2",
     "sobel_strength":
         "643451781506cee341801a29177c223fe16ee8d6a77ef80cc6e14730ba8b80de",
-    "sobel_orientation":
-        "622d3fd35d937011105cdea2e413aa1004cad3c5cf9803f731fcaf9f0a416c35",
+    # numpy's float64 arctan gives other last bits on each of its dispatch
+    # targets, so this digest is pinned per target (see `_expected`).
+    "sobel_orientation": {
+        "X86_V4": "622d3fd35d937011105cdea2e413aa1004cad3c5cf9803f731fcaf9f0a416c35",
+        "baseline(X86_V2)": "ff6189e84d7efc096f0d63713b58a91b222248caee11b9bbdaaf2726311b81bd",
+    },
     "gaussian_blur_1.3":
         "1c6eb1a5b687c0c1277c1cd92bd12624a4d0c347fb56dfe4c92b1cd8fb596900",
     "fuse_fused_f":
@@ -48,6 +52,24 @@ EXPECTED = {
 
 # SHA-256 of repr([(method, record) for every run_pair outcome]).
 RUN_PAIR_RECORDS = "afafcc649fa3edcb26846a354525143550dc4c900aa2df148bf0a0527a2e550f"
+
+
+def _arctan_target() -> str:
+    """The dispatch target numpy's float64 arctan runs on in this process."""
+    from numpy.lib.introspect import opt_func_info
+    return opt_func_info(func_name="arctan", signature="float64.*")["arctan"]["dd"]["current"]
+
+
+def _expected(name: str) -> str:
+    """The pinned digest of an output; a per-target pin with no entry for
+    this process's arctan target fails rather than skips."""
+    expected = EXPECTED[name]
+    if isinstance(expected, dict):
+        target = _arctan_target()
+        if target not in expected:
+            pytest.fail(f"no {name} digest is pinned for numpy's arctan target {target!r}")
+        expected = expected[target]
+    return expected
 
 
 def _digest(arr: np.ndarray) -> str:
@@ -91,7 +113,7 @@ def outputs():
 
 @pytest.mark.parametrize("name", sorted(EXPECTED))
 def test_output_bytes_unchanged(outputs, name):
-    assert _digest(outputs[name]) == EXPECTED[name]
+    assert _digest(outputs[name]) == _expected(name)
 
 
 def test_run_pair_records_unchanged():
@@ -99,6 +121,7 @@ def test_run_pair_records_unchanged():
 
 
 if __name__ == "__main__":
+    print(f"# numpy's arctan target: {_arctan_target()}")
     for key, value in _outputs().items():
         print(f'    "{key}": "{_digest(value)}",')
     print(f'RUN_PAIR_RECORDS = "{_records_digest()}"')

@@ -264,6 +264,20 @@ def test_batch_json_report_with_manifest_and_skipped(tmp_path, capsys):
     assert payload["skipped"][0]["pair_id"] == "lost"
 
 
+def test_batch_manifest_with_a_repeated_pair_id_exits_1(tmp_path, capsys):
+    data_dir = tmp_path / "pairs"
+    main(["synth", "--out-dir", str(data_dir), "--pairs", "1", "--seed", "3"])
+    capsys.readouterr()
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(f"x {data_dir}/000_a.pgm {data_dir}/000_b.pgm\n" * 2)
+    report = tmp_path / "r.csv"
+    assert main(["batch", "--manifest", str(manifest), "--methods", "average",
+                 "--report", str(report)]) == 1
+    assert capsys.readouterr().err == (
+        f"momentfuse: error: {manifest}:2: pair id 'x' already appears on line 1\n")
+    assert not report.exists()
+
+
 def test_batch_orphans_reported_as_skipped(tmp_path, capsys):
     data_dir = tmp_path / "pairs"
     main(["synth", "--out-dir", str(data_dir), "--pairs", "2", "--seed", "3"])

@@ -464,6 +464,11 @@ def assert_same_outputs(result, expected):
     ({"p": 1.5}, "p must be an integer, got 1.5"),
     ({"q": 1.0}, "q must be an integer, got 1.0"),
     ({"window": 3.0}, "window must be an integer, got 3.0"),
+    ({"magnitude": "no"}, "magnitude must be a bool, got 'no'"),
+    ({"magnitude": None}, "magnitude must be a bool, got None"),
+    ({"magnitude": 1}, "magnitude must be a bool, got 1"),
+    ({"p": True}, "p must be an integer, got True"),
+    ({"window": False}, "window must be an integer, got False"),
 ])
 def test_fuse_rejects_bad_params_before_tiling(shape, params, message):
     # A negative window used to give a negative halo, and with it an empty

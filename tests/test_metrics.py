@@ -18,7 +18,7 @@ from momentfuse.batch import run_pair
 from momentfuse.metrics import (
     EdgeMap,
     QabfConstants,
-    _preservation,
+    _kept,
     entropy,
     evaluate,
     histogram256,
@@ -269,10 +269,10 @@ def test_sobel_of_a_strip_with_halo_equals_the_full_raster_rows(img, data):
     h = img.shape[0]
     top = data.draw(st.integers(0, h - 1))
     bottom = data.draw(st.integers(top + 1, h))
-    strip = metrics._sobel(img, top, bottom)
+    strength, orientation = metrics._sobel(img, top, bottom)
     full = sobel_edges(img)
-    assert np.array_equal(strip.strength, full.strength[top:bottom])
-    assert np.array_equal(strip.orientation, full.orientation[top:bottom])
+    assert np.array_equal(strength, full.strength[top:bottom])
+    assert np.array_equal(orientation, full.orientation[top:bottom])
 
 
 def test_orientation_equals_masked_form_on_every_derivative_pair():
@@ -288,7 +288,7 @@ def test_orientation_equals_masked_form_on_every_derivative_pair():
 
 
 def test_orientation_lies_in_closed_half_pi_range_on_every_derivative_pair():
-    # `_preservation` folds orientation differences without a clip, which
+    # `_kept` folds orientation differences without a clip, which
     # holds only while every orientation lies in [-pi/2, pi/2].
     values = np.arange(-1020.0, 1021.0)
     for block in np.array_split(values, 8):
@@ -471,8 +471,8 @@ def test_qabf_constants_validation():
 
 
 def expression_preservation(src, fused, k):
-    """`_preservation` as one numpy expression, as it was written before it
-    ran in place; the in-place form must match it bit for bit."""
+    """The edge preservation of one source as one numpy expression, as it
+    was written before it ran in place; `_kept` must match it bit for bit."""
     gs, gf = src.strength, fused.strength
     gmax = np.maximum(gs, gf)
     with np.errstate(invalid="ignore"):
@@ -485,18 +485,39 @@ def expression_preservation(src, fused, k):
     return np.where(gs > 0.0, qg * qa, 0.0)
 
 
+def expression_kept(edges_a, edges_b, edges_f, weight_a, weight_b, k):
+    """weight_a * Q_a + weight_b * Q_b from the expression oracle alone."""
+    return (expression_preservation(edges_a, edges_f, k) * weight_a
+            + expression_preservation(edges_b, edges_f, k) * weight_b)
+
+
+def assert_kept_equals_expression_form(edges_a, edges_b, edges_f, k, exponent):
+    weight_a, weight_b = edges_a.strength ** exponent, edges_b.strength ** exponent
+    expected = expression_kept(edges_a, edges_b, edges_f, weight_a, weight_b, k)
+    # `_kept` writes into the fused strength, so it gets a copy.
+    kept = _kept((edges_a.strength, edges_a.orientation, weight_a),
+                 (edges_b.strength, edges_b.orientation, weight_b),
+                 edges_f.strength.copy(), edges_f.orientation, k)
+    assert np.array_equal(kept, expected)
+
+
 HALF_PI = math.pi / 2
 JUST_ABOVE_MINUS_HALF_PI = float(np.nextafter(-HALF_PI, 0.0))
-# (gs, gf, source orientation, fused orientation) held by every drawn map:
-# gs == 0 with gf > 0, gmax == 0, and orientation differences near +pi and -pi.
+# (gs_a, gs_b, gf, o_a, o_b, o_f) held by every drawn map: for each source,
+# gs == 0 with gf > 0, gmax == 0, gf == 0 with gs > 0, and orientation
+# differences near +pi and -pi.
 PRESERVATION_EDGE_CASES = [
-    (0.0, 3.0, 0.25, -0.5),
-    (0.0, 0.0, HALF_PI, HALF_PI),
-    (5.0, 5.0, HALF_PI, JUST_ABOVE_MINUS_HALF_PI),
-    (2.0, 7.0, JUST_ABOVE_MINUS_HALF_PI, HALF_PI),
-    (4.0, 0.0, -1.5, 1.5),
+    (0.0, 4.0, 3.0, 0.25, -1.5, -0.5),
+    (0.0, 0.0, 0.0, HALF_PI, HALF_PI, HALF_PI),
+    (5.0, 0.0, 5.0, HALF_PI, 0.25, JUST_ABOVE_MINUS_HALF_PI),
+    (2.0, 5.0, 7.0, JUST_ABOVE_MINUS_HALF_PI, -0.5, HALF_PI),
+    (3.0, 5.0, 7.0, -0.5, JUST_ABOVE_MINUS_HALF_PI, HALF_PI),
+    (3.0, 6.0, 7.0, 0.0, HALF_PI, JUST_ABOVE_MINUS_HALF_PI),
+    (4.0, 6.0, 0.0, -1.5, 1.5, 1.5),
+    (0.0, 6.0, 0.0, 1.0, -1.0, 0.0),
 ]
 PRESERVATION_CONSTANTS = [QabfConstants(), QabfConstants(sigma_g=0.1, sigma_a=0.1, kappa_g=-3.0)]
+WEIGHT_EXPONENTS = [0.0, 1.0, 2.0]
 
 strengths = st.one_of(st.just(0.0), st.floats(0.0, 2000.0))
 orientations = st.one_of(st.sampled_from([HALF_PI, JUST_ABOVE_MINUS_HALF_PI, 0.0]),
@@ -504,22 +525,22 @@ orientations = st.one_of(st.sampled_from([HALF_PI, JUST_ABOVE_MINUS_HALF_PI, 0.0
 
 
 @settings(max_examples=300, deadline=None)
-@given(pixels=st.lists(st.tuples(strengths, strengths, orientations, orientations), max_size=40),
-       k=st.sampled_from(PRESERVATION_CONSTANTS))
-def test_preservation_equals_expression_form_exactly(pixels, k):
-    gs, gf, o_src, o_fused = np.array(PRESERVATION_EDGE_CASES + pixels).T.reshape(4, 1, -1)
-    src, fused = EdgeMap(gs, o_src), EdgeMap(gf, o_fused)
-    assert np.array_equal(_preservation(src, fused, k), expression_preservation(src, fused, k))
+@given(pixels=st.lists(st.tuples(*[strengths] * 3, *[orientations] * 3), max_size=40),
+       k=st.sampled_from(PRESERVATION_CONSTANTS), exponent=st.sampled_from(WEIGHT_EXPONENTS))
+def test_preservation_equals_expression_form_exactly(pixels, k, exponent):
+    gs_a, gs_b, gf, o_a, o_b, o_f = np.array(PRESERVATION_EDGE_CASES + pixels).T.reshape(6, 1, -1)
+    assert_kept_equals_expression_form(EdgeMap(gs_a, o_a), EdgeMap(gs_b, o_b), EdgeMap(gf, o_f),
+                                       k, exponent)
 
 
 @settings(max_examples=100, deadline=None)
 @given(images=st.tuples(st.integers(1, 9), st.integers(1, 9)).flatmap(
-    lambda shape: st.tuples(arrays(np.uint8, shape, elements=st.sampled_from([0, 1, 9, 255])),
-                            arrays(np.uint8, shape))),
-       k=st.sampled_from(PRESERVATION_CONSTANTS))
-def test_preservation_of_sobel_maps_equals_expression_form_exactly(images, k):
-    src, fused = (sobel_edges(img) for img in images)
-    assert np.array_equal(_preservation(src, fused, k), expression_preservation(src, fused, k))
+    lambda shape: st.tuples(
+        *[arrays(np.uint8, shape, elements=st.sampled_from([0, 1, 9, 255]))] * 2,
+        arrays(np.uint8, shape))),
+       k=st.sampled_from(PRESERVATION_CONSTANTS), exponent=st.sampled_from(WEIGHT_EXPONENTS))
+def test_preservation_of_sobel_maps_equals_expression_form_exactly(images, k, exponent):
+    assert_kept_equals_expression_form(*(sobel_edges(img) for img in images), k, exponent)
 
 
 def test_evaluate_bundles_the_four_metrics():
@@ -561,18 +582,14 @@ def stencil_edges(img):
 
 def full_raster_qabf(a, b, f, k):
     """`qabf` as it ran before row strips, on full-size edge maps of the
-    stencil oracle and full-size preservation maps."""
+    stencil oracle and the expression oracle's preservation maps."""
     edges_a, edges_b, edges_f = (stencil_edges(img) for img in (a, b, f))
     weight_a = edges_a.strength ** k.weight_exponent
     weight_b = edges_b.strength ** k.weight_exponent
     total = float(np.sum(weight_a) + np.sum(weight_b))
     if total == 0.0:
         return 0.0, True
-    kept = _preservation(edges_a, edges_f, k)
-    kept *= weight_a
-    kept_b = _preservation(edges_b, edges_f, k)
-    kept_b *= weight_b
-    kept += kept_b
+    kept = expression_kept(edges_a, edges_b, edges_f, weight_a, weight_b, k)
     return float(np.sum(kept) / total), False
 
 
@@ -615,7 +632,7 @@ def test_run_pair_calls_traced_functions_on_the_calling_thread(monkeypatch):
 
     spied = [(metrics.sobel_edges, "sobel_edges"), (validation.check_image_float, "check_float"),
              (image.quantize, "quantize"), (metrics._sobel, "_sobel"),
-             (metrics._preservation, "_preservation")]
+             (metrics._kept, "_kept")]
     for module_name, module in list(sys.modules.items()):
         if module_name.split(".")[0] != "momentfuse":
             continue
@@ -629,7 +646,7 @@ def test_run_pair_calls_traced_functions_on_the_calling_thread(monkeypatch):
     caller = {threading.get_ident()}
     assert threads["sobel_edges"] == caller
     assert "quantize" not in threads and "check_float" not in threads
-    assert threads["_sobel"] - caller and threads["_preservation"] - caller
+    assert threads["_sobel"] - caller and threads["_kept"] - caller
 
 
 u8_rasters = st.tuples(st.integers(1, 16), st.integers(1, 16)).flatmap(

@@ -126,6 +126,28 @@ def test_rejects_bad_window_and_orders():
         local_moment_map(img, q=2.0)
     with pytest.raises(ValueError, match="window must be an integer, got 3.0"):
         local_moment_map(img, window=3.0)
+    # A bool is an int, but no moment order or window.
+    with pytest.raises(ValueError, match="p must be an integer, got True"):
+        local_moment_map(img, p=True)
+    with pytest.raises(ValueError, match="q must be an integer, got False"):
+        local_moment_map(img, q=False)
+    with pytest.raises(ValueError, match="window must be an integer, got True"):
+        local_moment_map(img, window=True)
+
+
+def test_rejects_a_magnitude_that_is_not_a_bool():
+    # Any other value would pick the branch by its truth: "no" as True.
+    img = np.ones((4, 4))
+    for value in ("no", None, 1, 0.0, np.float64(1.0)):
+        with pytest.raises(ValueError, match="magnitude must be a bool"):
+            local_moment_map(img, magnitude=value)
+
+
+def test_accepts_a_numpy_bool_magnitude():
+    img = np.arange(-10.0, 10.0).reshape(4, 5)
+    for flag in (True, False):
+        assert np.array_equal(local_moment_map(img, magnitude=np.bool_(flag)),
+                              local_moment_map(img, magnitude=flag))
 
 
 def test_accepts_numpy_integer_orders_and_window():
