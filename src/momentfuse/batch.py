@@ -16,10 +16,10 @@ from typing import Optional
 
 import numpy as np
 
-from .fusion import FUSION_METHODS, Fuser, FusionResult, _pooled, make_fuser
+from .fusion import FUSION_METHODS, FusionResult, _pooled, make_fuser
 from .metrics import MetricsRecord, QabfConstants, _shared_source_terms, evaluate
 from .pgm import PgmError, read_pgm
-from .validation import ShapeMismatchError, check_same_shape
+from .validation import ShapeMismatchError, check_pair, check_same_shape
 
 METRIC_COLUMNS = ("mim", "sd", "entropy", "qabf")
 AGGREGATE_ID = "(mean)"
@@ -125,10 +125,13 @@ def read_manifest(path) -> list[PairSpec]:
 
 
 def _method_names(methods) -> list[str]:
-    """The distinct requested method names, sorted."""
+    """The distinct requested method names, sorted; at least one."""
     if isinstance(methods, str):  # its letters would be taken for names
         raise ValueError(f"methods must be a collection of method names, got {methods!r}")
-    return sorted(set(methods))
+    names = sorted(set(methods))
+    if not names:  # a batch would read every pair and then report none
+        raise ValueError("methods must name at least one fusion method")
+    return names
 
 
 def run_pair(a: np.ndarray, b: np.ndarray, methods=FUSION_METHODS,
@@ -136,8 +139,8 @@ def run_pair(a: np.ndarray, b: np.ndarray, methods=FUSION_METHODS,
              **fuser_params) -> list[PairOutcome]:
     """Fuse one loaded pair with each requested method and evaluate it.
 
-    Methods run in sorted order; unknown method names, or a bare string in
-    place of a collection of them, raise ValueError.
+    Methods run in sorted order; unknown method names, an empty collection
+    of them or a bare string in its place raise ValueError.
     Extra keyword arguments are forwarded to the fusers that accept them.
     The pair is checked once, and every fuser and evaluation gets the
     checked arrays. Every method is fused before any is scored, so the
@@ -146,7 +149,7 @@ def run_pair(a: np.ndarray, b: np.ndarray, methods=FUSION_METHODS,
     keep_results=False only each method's `fused_u8` is kept past its fuse,
     and every outcome's `result` is None.
     """
-    a, b = Fuser._check_pair(a, b)
+    a, b = check_pair(a, b)
 
     def fuse(method):
         result = make_fuser(method, **fuser_params).fuse(a, b)
@@ -167,9 +170,9 @@ def run_batch(pairs: list[PairSpec], methods=FUSION_METHODS,
     reported under `skipped` with the error message; a pair whose fusion or
     evaluation raises is reported there as "<Type>: <message>" and leaves no
     row. KeyboardInterrupt still stops the run. Raises EmptyBatchError when
-    no pair at all produces a result. An unknown method, a bare string for
-    `methods` or a bad fuser parameter would fail every pair alike, so it
-    raises ValueError before any pair is read.
+    no pair at all produces a result. An unknown method, an empty
+    `methods`, a bare string for it or a bad fuser parameter would fail
+    every pair alike, so it raises ValueError before any pair is read.
 
     Each pair is decoded and scored by `run_pair` without its results, on
     one thread per CPU (inline on one CPU), so at most one decoded pair per
@@ -207,12 +210,9 @@ def run_batch(pairs: list[PairSpec], methods=FUSION_METHODS,
 
 
 def _aggregate(rows: list[BatchRow]) -> dict[str, dict]:
-    by_method: dict[str, list[BatchRow]] = {}
-    for row in rows:
-        by_method.setdefault(row.method, []).append(row)
     aggregates = {}
-    for method in sorted(by_method):
-        group = by_method[method]
+    for method in sorted({row.method for row in rows}):
+        group = [row for row in rows if row.method == method]
         values = {
             column: float(np.mean([row.record.as_dict()[column] for row in group]))
             for column in METRIC_COLUMNS
@@ -249,19 +249,12 @@ def _emit_csv(report: BatchReport) -> bytes:
     # The writer quotes a pair id holding a comma, quote or newline.
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["pair_id", "method", *METRIC_COLUMNS, "degenerate"])
-    for row in report.rows:
-        record = row.record.as_dict()
-        cells = [row.pair_id, row.method]
-        cells.extend(_format_value(record[column]) for column in METRIC_COLUMNS)
-        cells.append(_format_value(record["degenerate"]))
-        writer.writerow(cells)
-    for method in sorted(report.aggregates):
-        agg = report.aggregates[method]
-        cells = [AGGREGATE_ID, method]
-        cells.extend(_format_value(agg[column]) for column in METRIC_COLUMNS)
-        cells.append(str(agg["degenerate"]))
-        writer.writerow(cells)
+    columns = (*METRIC_COLUMNS, "degenerate")
+    writer.writerow(["pair_id", "method", *columns])
+    lines = [(row.pair_id, row.method, row.record.as_dict()) for row in report.rows]
+    lines += [(AGGREGATE_ID, m, report.aggregates[m]) for m in sorted(report.aggregates)]
+    for pair_id, method, values in lines:
+        writer.writerow([pair_id, method, *(_format_value(values[c]) for c in columns)])
     return buf.getvalue().encode("utf-8")
 
 

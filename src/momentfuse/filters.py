@@ -14,6 +14,9 @@ from .image import correlate
 from .validation import check_image_float, check_image_u8
 
 DEFAULT_CENTER_WEIGHT = 17.9
+# The largest |center| of `high_boost_mask`, far above the 8 to 40 that
+# fusion is tried with; it keeps every filtered sample and moment finite.
+MAX_CENTER = 1e6
 
 
 @dataclass
@@ -37,9 +40,17 @@ class Kernel3:
 
 def high_boost_mask(center: float = DEFAULT_CENTER_WEIGHT) -> Kernel3:
     """The default fusion preprocessing mask: -1 neighbors around a boosted
-    center, scaled by 1/9."""
+    center, scaled by 1/9.
+
+    |center| above MAX_CENTER raises ValueError. Within it, a filtered
+    uint8 sample is at most (1e6 + 8) * 255 / 9 < 3e7 in magnitude, so a
+    local moment of them, below 1e20 times that (see
+    `fusion._moment_weights`), is below 3e27: finite by far.
+    """
     coeffs = np.full((3, 3), -1.0)
     coeffs[1, 1] = center
+    if abs(coeffs[1, 1]) > MAX_CENTER:  # a NaN goes on to Kernel3's finiteness check
+        raise ValueError(f"center must be in [-{MAX_CENTER}, {MAX_CENTER}], got {center}")
     return Kernel3(coeffs, scale=1.0 / 9.0)
 
 

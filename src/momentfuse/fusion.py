@@ -21,13 +21,13 @@ import numpy as np
 
 from .filters import DEFAULT_CENTER_WEIGHT, high_boost_mask
 from .image import accumulate, correlate, joint_counts, pad_edges, padded_rows, round_u8
-from .validation import (
-    check_image_float,
-    check_image_u8,
-    check_same_shape,
-)
+from .validation import check_image_float, check_pair, check_same_shape
 
 MAX_MOMENT_ORDER = 4  # guard against numeric blowup from huge index powers
+# The largest moment window: the largest odd side whose weights, at most
+# 97**8 < 2**53, are all exact integers in float64. It also bounds each
+# strip buffer's halo and the weight array's window**2 cells.
+MAX_WINDOW = 97
 
 # Pixels per row strip of `_run_strips`: a strip's float64 temporaries stay
 # cache-sized. At 2048^2 on a 2-core Xeon, strips of 2**14 pixels were
@@ -73,13 +73,22 @@ def local_moment_map(img: np.ndarray, p: int = 1, q: int = 1, window: int = 3,
 
 def _moment_weights(p: int, q: int, window: int) -> np.ndarray:
     """The window's weights r**p * c**q; raises ValueError unless all three
-    are integers, the window is odd and >= 1 and both orders are in range."""
+    are integers, the window is odd and in [1, MAX_WINDOW] and both orders
+    are in range.
+
+    So a moment of finite samples is finite: it sums at most 97**2 samples
+    with weights of at most 97**8, below 97**10 < 1e20 times the largest
+    |sample|, which `high_boost_mask` keeps below 3e7 (and every partial
+    sum on the way too).
+    """
     for name, value in (("p", p), ("q", q), ("window", window)):
         # A bool is an int, but True is no moment order.
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise ValueError(f"{name} must be an integer, got {value!r}")
     if window < 1 or window % 2 == 0:
         raise ValueError(f"window must be odd and >= 1, got {window}")
+    if window > MAX_WINDOW:
+        raise ValueError(f"window must be at most {MAX_WINDOW}, got {window}")
     if not (0 <= p <= MAX_MOMENT_ORDER and 0 <= q <= MAX_MOMENT_ORDER):
         raise ValueError(f"moment orders must be in [0, {MAX_MOMENT_ORDER}], got p={p}, q={q}")
     index = np.arange(1, window + 1, dtype=np.float64)
@@ -209,12 +218,7 @@ class Fuser:
     def _check_params(self):
         """Raise ValueError if a parameter is out of range; `fuse` does too."""
 
-    @staticmethod
-    def _check_pair(a, b):
-        a = check_image_u8(a, "first source")
-        b = check_image_u8(b, "second source")
-        check_same_shape(a, b, "first source", "second source")
-        return a, b
+    _check_pair = staticmethod(check_pair)
 
 
 @dataclass(eq=False)
@@ -229,11 +233,13 @@ class MomentFuser(Fuser):
     ----------
     p, q : row / column index exponents of the local moment (default 1, 1;
         0, 0 reduces the moment to the window energy).
-    window : odd side length of the moment neighborhood (default 3).
+    window : odd side length of the moment neighborhood, at most MAX_WINDOW
+        (default 3).
     magnitude : score |filtered| rather than the signed response (default True).
     source : 'filtered' draws output pixels from the filtered rasters, which
         also boosts contrast; 'original' copies untouched source pixels.
-    center : center weight of the preprocessing mask (default 17.9).
+    center : center weight of the preprocessing mask, |center| at most
+        `filters.MAX_CENTER` (default 17.9).
     """
 
     p: int = 1
@@ -373,7 +379,7 @@ def pca_weights(a: np.ndarray, b: np.ndarray):
     When that sum vanishes (anti-correlated or constant pair), the weights
     are undefined; fall back to 0.5 / 0.5 and flag the result degenerate.
     """
-    a, b = Fuser._check_pair(a, b)
+    a, b = check_pair(a, b)
     cov = _covariance(a, b)
     if not cov.any():
         # No variance in either source: no principal direction exists.

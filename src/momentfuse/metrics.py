@@ -17,7 +17,7 @@ import numpy as np
 
 from .fusion import _run_strips
 from .image import joint_counts, padded_rows
-from .validation import check_image_u8, check_same_shape
+from .validation import check_image_u8, check_pair
 
 
 def histogram256(img: np.ndarray) -> np.ndarray:
@@ -44,10 +44,7 @@ def std_dev(img: np.ndarray) -> float:
 def joint_histogram(a: np.ndarray, f: np.ndarray) -> np.ndarray:
     """256x256 co-occurrence histogram; cell (u, v) counts pixels where the
     first raster has level u and the second has level v."""
-    a = check_image_u8(a, "first image")
-    f = check_image_u8(f, "second image")
-    check_same_shape(a, f, "first image", "second image")
-    return joint_counts(a, f)
+    return joint_counts(*check_pair(a, f, "first image", "second image"))
 
 
 def mutual_information(a: np.ndarray, f: np.ndarray) -> float:
@@ -186,12 +183,21 @@ def _orientation(sx: np.ndarray, sy: np.ndarray) -> np.ndarray:
     return np.arctan(ratio, out=ratio)
 
 
+# The largest weight_exponent. A Sobel strength of a uint8 raster is 0 or in
+# [1, hypot(1020, 1020) ~ 1442.5], so each edge weight is at most
+# 1442.5**64 ~ 1.5e202, and the weight total of two rasters of even
+# sys.maxsize pixels stays below 3e221, far from float64's 1.8e308: the
+# score's ratio of sums is never inf / inf. Near 92 the total could overflow.
+MAX_WEIGHT_EXPONENT = 64.0
+
+
 @dataclass
 class QabfConstants:
     """Sigmoid constants of the edge preservation score.
 
     Defaults are the standard published values for the metric; both sigmoid
-    ceilings must stay in (0, 1] so the score cannot exceed 1.
+    ceilings must stay in (0, 1] so the score cannot exceed 1, and the weight
+    exponent in [0, MAX_WEIGHT_EXPONENT] so it cannot come out NaN.
     """
 
     gamma_g: float = 0.9994
@@ -211,6 +217,9 @@ class QabfConstants:
             raise ValueError("gamma_g and gamma_a must be in (0, 1]")
         if self.weight_exponent < 0.0:
             raise ValueError("weight_exponent must be >= 0")
+        if self.weight_exponent > MAX_WEIGHT_EXPONENT:
+            raise ValueError(f"weight_exponent must be at most {MAX_WEIGHT_EXPONENT}, "
+                             f"got {self.weight_exponent}")
 
 
 def _sigmoid_in_place(x: np.ndarray, gamma: float, kappa: float, sigma: float) -> np.ndarray:
@@ -316,11 +325,8 @@ def qabf(a: np.ndarray, b: np.ndarray, f: np.ndarray,
     gradient-free everywhere, which leaves the score defined as 0.
     """
     k = constants if constants is not None else QabfConstants()
-    a = check_image_u8(a, "first source")
-    b = check_image_u8(b, "second source")
-    f = check_image_u8(f, "fused image")
-    check_same_shape(a, f, "first source", "fused image")
-    check_same_shape(b, f, "second source", "fused image")
+    a, f = check_pair(a, f, "first source", "fused image")
+    b, f = check_pair(b, f, "second source", "fused image")
 
     edges_a, edges_b, weight_a, weight_b, total = _source_terms(a, b, k.weight_exponent)
     if total == 0.0:

@@ -13,17 +13,22 @@ class ShapeMismatchError(ValueError):
     """Raised when two rasters that must be registered differ in shape."""
 
 
+def _check_2d(arr: np.ndarray, name: str) -> np.ndarray:
+    """Return arr if it is 2-D with both dims >= 1; raise ValueError if not."""
+    if arr.ndim != 2:
+        raise ValueError(f"{name} must be 2-D (height, width), got ndim={arr.ndim}")
+    if arr.shape[0] < 1 or arr.shape[1] < 1:
+        raise ValueError(f"{name} has a zero dimension: {arr.shape}")
+    return arr
+
+
 def check_image_u8(img, name: str = "image") -> np.ndarray:
     """Validate an 8-bit grayscale raster.
 
     Accepts any integer array with values in [0, 255] and returns it as a
     contiguous uint8 array of shape (height, width) with both dims >= 1.
     """
-    arr = np.asarray(img)
-    if arr.ndim != 2:
-        raise ValueError(f"{name} must be 2-D (height, width), got ndim={arr.ndim}")
-    if arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise ValueError(f"{name} has a zero dimension: {arr.shape}")
+    arr = _check_2d(np.asarray(img), name)
     if arr.dtype != np.uint8:
         if not np.issubdtype(arr.dtype, np.integer):
             raise ValueError(f"{name} must be an integer array, got dtype={arr.dtype}")
@@ -35,11 +40,7 @@ def check_image_u8(img, name: str = "image") -> np.ndarray:
 
 def check_image_float(img, name: str = "image") -> np.ndarray:
     """Validate a floating-point raster: 2-D, nonempty, all samples finite."""
-    arr = np.asarray(img, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError(f"{name} must be 2-D (height, width), got ndim={arr.ndim}")
-    if arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise ValueError(f"{name} has a zero dimension: {arr.shape}")
+    arr = _check_2d(np.asarray(img, dtype=np.float64), name)
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite samples")
     return arr
@@ -53,3 +54,9 @@ def check_same_shape(a: np.ndarray, b: np.ndarray,
             f"{name_a} {a.shape} and {name_b} {b.shape} must have identical dimensions"
         )
 
+
+def check_pair(a, b, name_a: str = "first source", name_b: str = "second source"):
+    """Validate two 8-bit rasters of one shape; return each as `check_image_u8` does."""
+    a, b = check_image_u8(a, name_a), check_image_u8(b, name_b)
+    check_same_shape(a, b, name_a, name_b)
+    return a, b

@@ -1,6 +1,7 @@
 """Batch harness: discovery, manifests, aggregation, and report emission."""
 
 import json
+import re
 import sys
 import threading
 import time
@@ -113,6 +114,25 @@ def test_bare_string_methods_is_rejected_before_any_pair_is_read(tmp_path, monke
     monkeypatch.setattr(batch, "read_pgm", lambda path: reads.append(path) or read_pgm(path))
     with pytest.raises(ValueError, match=message):
         run_batch(pairs, "moment")
+    assert reads == []
+
+
+@pytest.mark.parametrize("methods", [(), [], set()])
+def test_run_pair_rejects_an_empty_methods_collection(methods):
+    img = np.zeros((16, 16), dtype=np.uint8)
+    with pytest.raises(ValueError, match="^methods must name at least one fusion method$"):
+        run_pair(img, img, methods=methods)
+
+
+def test_run_batch_rejects_an_empty_methods_collection_before_any_pair_is_read(
+        tmp_path, monkeypatch):
+    # It would decode every pair, fuse none and call the set empty.
+    write_pair_dir(tmp_path, n=1, size=16)
+    pairs, _ = discover_pairs(tmp_path)
+    reads = []
+    monkeypatch.setattr(batch, "read_pgm", lambda path: reads.append(path) or read_pgm(path))
+    with pytest.raises(ValueError, match="^methods must name at least one fusion method$"):
+        run_batch(pairs, methods=())
     assert reads == []
 
 
@@ -285,6 +305,9 @@ def test_run_batch_missing_file_is_skipped(tmp_path):
     (("moment",), {"magnitude": "no"}, "magnitude must be a bool, got 'no'"),
     (("moment",), {"magnitude": None}, "magnitude must be a bool, got None"),
     (("moment",), {"q": True}, "q must be an integer, got True"),
+    (("moment",), {"window": 99}, "window must be at most 97, got 99"),
+    (("moment",), {"center": -1000002.0},
+     re.escape("center must be in [-1000000.0, 1000000.0], got -1000002.0")),
 ])
 def test_run_batch_checks_methods_and_parameters_before_reading(tmp_path, monkeypatch,
                                                                 methods, params, message):

@@ -1,5 +1,6 @@
 """Bit-identity guard: SHA-256 digests of every stencil output, and of the
-`run_pair` metric records, on one fixed non-square synthetic pair.
+`run_pair` metric records, on one fixed non-square synthetic pair; and of
+both report formats of one small batch.
 
 The oracle tests elsewhere compare against tolerances, so a change in
 summation order would pass them. These digests pin the exact bytes; a
@@ -8,15 +9,18 @@ map, blur, fused result or metric record fails here.
 """
 
 import hashlib
+import os
+import tempfile
 
 import numpy as np
 import pytest
 
-from momentfuse.batch import run_pair
+from momentfuse.batch import discover_pairs, emit_report, run_batch, run_pair
 from momentfuse.filters import preprocess
 from momentfuse.fusion import MomentFuser, local_moment_map
 from momentfuse.image import widen
 from momentfuse.metrics import sobel_edges
+from momentfuse.pgm import write_pgm
 from momentfuse.synthetic import gaussian_blur_float, synthesize_pairs
 
 EXPECTED = {
@@ -53,6 +57,12 @@ EXPECTED = {
 # SHA-256 of repr([(method, record) for every run_pair outcome]).
 RUN_PAIR_RECORDS = "afafcc649fa3edcb26846a354525143550dc4c900aa2df148bf0a0527a2e550f"
 
+# SHA-256 of `emit_report(run_batch(...), fmt)` over `_write_report_dir`.
+REPORT_BYTES = {
+    "csv": "7ea74a218fa8a956a0bfc0af718cff41eb7fca8af550902d9443faa95630d1ee",
+    "json": "361e53944c155e6d10083554cd3bee51fa35588e6619c1dc32c0ec1bdb0c06f7",
+}
+
 
 def _arctan_target() -> str:
     """The dispatch target numpy's float64 arctan runs on in this process."""
@@ -88,6 +98,25 @@ def _records_digest() -> str:
     return hashlib.sha256(records.encode()).hexdigest()
 
 
+def _write_report_dir(directory) -> None:
+    """Two 19x22 pairs, one with a comma in its id, and a pair whose sides
+    differ in size, which the batch skips."""
+    sources = synthesize_pairs(2, sigma=2.0, seed=4, height=19, width=22)
+    for pair_id, (_, pair) in zip(("p,1", "q"), sources):
+        write_pgm(os.path.join(directory, f"{pair_id}_a.pgm"), pair.a)
+        write_pgm(os.path.join(directory, f"{pair_id}_b.pgm"), pair.b)
+    write_pgm(os.path.join(directory, "r_a.pgm"), np.zeros((4, 4), dtype=np.uint8))
+    write_pgm(os.path.join(directory, "r_b.pgm"), np.zeros((5, 4), dtype=np.uint8))
+
+
+def _report_digests() -> dict:
+    """Digests of both formats of the batch over a fresh report directory,
+    found as "." so the skip reason's paths do not depend on where it is."""
+    _write_report_dir(".")
+    report = run_batch(discover_pairs(".")[0])
+    return {fmt: hashlib.sha256(emit_report(report, fmt)).hexdigest() for fmt in REPORT_BYTES}
+
+
 def _outputs() -> dict:
     a, b = _pair()
     filtered = preprocess(a)
@@ -120,8 +149,18 @@ def test_run_pair_records_unchanged():
     assert _records_digest() == RUN_PAIR_RECORDS
 
 
+def test_report_bytes_unchanged(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert _report_digests() == REPORT_BYTES
+
+
 if __name__ == "__main__":
     print(f"# numpy's arctan target: {_arctan_target()}")
     for key, value in _outputs().items():
         print(f'    "{key}": "{_digest(value)}",')
     print(f'RUN_PAIR_RECORDS = "{_records_digest()}"')
+    with tempfile.TemporaryDirectory() as directory:
+        os.chdir(directory)
+        digests = _report_digests()
+    for fmt, digest in digests.items():
+        print(f'    "{fmt}": "{digest}",')

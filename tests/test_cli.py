@@ -325,6 +325,28 @@ def test_batch_bad_fuser_parameter_exits_1_with_the_fuse_message(pair_files, tmp
     assert not report.exists()
 
 
+@pytest.mark.parametrize("flag, message", [
+    ("--window=99", "window must be at most 97, got 99"),
+    ("--center=1000002", "center must be in [-1000000.0, 1000000.0], got 1000002.0"),
+    ("--center=-1e306", "center must be in [-1000000.0, 1000000.0], got -1e+306"),
+])
+def test_a_window_or_center_above_its_bound_exits_1(pair_files, tmp_path, capsys,
+                                                     flag, message):
+    path_a, path_b, _, _ = pair_files
+    out = tmp_path / "f.pgm"
+    assert main(["fuse", "--in-a", str(path_a), "--in-b", str(path_b), "--out", str(out),
+                 flag]) == 1
+    assert capsys.readouterr().err == f"momentfuse: error: {message}\n"
+    assert not out.exists()
+    data_dir = tmp_path / "pairs"
+    main(["synth", "--out-dir", str(data_dir), "--pairs", "1", "--seed", "2"])
+    capsys.readouterr()
+    report = tmp_path / "r.csv"
+    assert main(["batch", "--dir", str(data_dir), "--report", str(report), flag]) == 1
+    assert capsys.readouterr().err == f"momentfuse: error: {message}\n"
+    assert not report.exists()
+
+
 def test_config_file_supplies_defaults_and_flags_win(pair_files, tmp_path):
     path_a, path_b, a, b = pair_files
     config = tmp_path / "fuse.conf"

@@ -479,6 +479,49 @@ def test_fuse_rejects_bad_params_before_tiling(shape, params, message):
     assert str(info.value) == message
 
 
+WINDOW_ABOVE_BOUND = fusion.MAX_WINDOW + 2
+CENTER_MESSAGE = f"center must be in [-{filters.MAX_CENTER}, {filters.MAX_CENTER}], got {{}}"
+
+
+@pytest.mark.parametrize("stage", [
+    lambda img: local_moment_map(widen(img), window=WINDOW_ABOVE_BOUND),
+    lambda img: MomentFuser(window=WINDOW_ABOVE_BOUND).fuse(img, img),
+], ids=["local_moment_map", "fuse"])
+def test_rejects_a_window_above_the_bound(stage):
+    # The weight array has window**2 cells and every strip buffer a halo of
+    # window // 2 rows and columns; nothing bounded either.
+    with pytest.raises(ValueError) as info:
+        stage(np.zeros((4, 4), np.uint8))
+    assert str(info.value) == f"window must be at most {fusion.MAX_WINDOW}, got {WINDOW_ABOVE_BOUND}"
+
+
+@pytest.mark.parametrize("center", [filters.MAX_CENTER + 2, -(filters.MAX_CENTER + 2),
+                                    1e306, math.inf])
+@pytest.mark.parametrize("stage", [
+    lambda img, center: high_boost_mask(center),
+    lambda img, center: preprocess(img, center),
+    lambda img, center: MomentFuser(center=center).fuse(img, img),
+], ids=["high_boost_mask", "preprocess", "fuse"])
+def test_rejects_a_center_above_the_bound(stage, center):
+    # At 1e306 every moment was inf and every decision inf >= inf.
+    with pytest.raises(ValueError) as info:
+        stage(np.zeros((4, 4), np.uint8), center)
+    assert str(info.value) == CENTER_MESSAGE.format(center)
+
+
+@pytest.mark.parametrize("center", [filters.MAX_CENTER, -filters.MAX_CENTER])
+def test_moments_are_finite_at_the_window_order_and_center_bounds(center):
+    # A 0/255 checkerboard gives the largest filtered magnitudes.
+    board = (np.indices((8, 9)).sum(axis=0) % 2 * 255).astype(np.uint8)
+    fuser = MomentFuser(p=4, q=4, window=fusion.MAX_WINDOW, center=center)
+    with np.errstate(all="raise"):
+        result = fuser.fuse(board, 255 - board)
+        staged = local_moment_map(preprocess(board, center), 4, 4, fusion.MAX_WINDOW)
+    for out in (result.fused_f, result.moments_a, result.moments_b, staged):
+        assert np.all(np.isfinite(out))
+    assert np.array_equal(result.moments_a, staged)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     data=st.tuples(st.integers(1, 40), st.integers(1, 12)).flatmap(

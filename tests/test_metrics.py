@@ -1,6 +1,7 @@
 """Metric identities, oracles, and the edge preservation score."""
 
 import math
+import re
 import sys
 import threading
 import time
@@ -15,7 +16,9 @@ from hypothesis.extra.numpy import arrays
 
 from momentfuse import fusion, image, metrics, validation
 from momentfuse.batch import run_pair
+from momentfuse.fusion import MomentFuser
 from momentfuse.metrics import (
+    MAX_WEIGHT_EXPONENT,
     EdgeMap,
     QabfConstants,
     _kept,
@@ -29,6 +32,7 @@ from momentfuse.metrics import (
     sobel_edges,
     std_dev,
 )
+from momentfuse.synthetic import synthesize_pairs
 from momentfuse.validation import ShapeMismatchError
 
 
@@ -468,6 +472,28 @@ def test_qabf_constants_validation():
         QabfConstants(weight_exponent=-1.0)
     with pytest.raises(ValueError):
         QabfConstants(kappa_g=float("nan"))
+
+
+@pytest.mark.parametrize("exponent", [math.nextafter(MAX_WEIGHT_EXPONENT, math.inf), 200.0])
+def test_qabf_constants_reject_a_weight_exponent_above_the_bound(exponent):
+    # At 200 the weights of a 64^2 pair overflowed, and inf / inf scored NaN.
+    message = f"weight_exponent must be at most {MAX_WEIGHT_EXPONENT}, got {exponent}"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        QabfConstants(weight_exponent=exponent)
+
+
+def test_weight_total_at_the_exponent_bound_is_finite_on_any_raster():
+    # The strongest edge of a uint8 raster, raised to the bound, summed over
+    # two sources of the most pixels numpy could index.
+    strongest = math.hypot(metrics._DERIVATIVE_MAX, metrics._DERIVATIVE_MAX)
+    assert 2 * sys.maxsize * strongest ** MAX_WEIGHT_EXPONENT < sys.float_info.max
+    # The 64^2 pair whose score was NaN at exponent 200 scores at the bound.
+    _, pair = synthesize_pairs(1, sigma=2.0, seed=0, height=64, width=64)[0]
+    fused = MomentFuser().fuse(pair.a, pair.b).fused_u8
+    assert sobel_edges(pair.a).strength.max() <= strongest
+    k = QabfConstants(weight_exponent=MAX_WEIGHT_EXPONENT)
+    score, degenerate = qabf(pair.a, pair.b, fused, k)
+    assert 0.0 <= score <= 1.0 and not degenerate
 
 
 def expression_preservation(src, fused, k):
