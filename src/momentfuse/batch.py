@@ -76,7 +76,7 @@ def discover_pairs(directory) -> tuple[list[PairSpec], list[str]]:
         if not name.endswith(".pgm"):
             continue
         stem = name[:-4]
-        if stem.endswith("_a") or stem.endswith("_b"):
+        if len(stem) > 2 and stem[-2:] in ("_a", "_b"):  # `_a.pgm` has no id
             sides.setdefault(stem[:-2], {})[stem[-1]] = os.path.join(directory, name)
         else:
             ignored.append(name)

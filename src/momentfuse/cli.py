@@ -165,9 +165,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_fuse(args) -> int:
     fuser = make_fuser(args.method, **_fuser_params(args))
-    if args.dump_decision is not None and not isinstance(fuser, MomentFuser):
-        raise UsageError(
-            f"--dump-decision needs a selection method; {args.method!r} has no decision map")
+    if args.dump_decision is not None:
+        if not isinstance(fuser, MomentFuser):
+            raise UsageError(
+                f"--dump-decision needs a selection method; {args.method!r} has no decision map")
+        if os.path.realpath(args.dump_decision) == os.path.realpath(args.out):
+            raise UsageError(f"--dump-decision and --out name the same file {args.out!r}")
     a = read_pgm(args.in_a)
     b = read_pgm(args.in_b)
     result = fuser.fuse(a, b)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .image import correlate
-from .validation import check_image_float, check_image_u8
+from .validation import check_image_float, check_image_u8, check_real
 
 DEFAULT_CENTER_WEIGHT = 17.9
 # The largest |center| of `high_boost_mask`, far above the 8 to 40 that
@@ -42,13 +42,14 @@ def high_boost_mask(center: float = DEFAULT_CENTER_WEIGHT) -> Kernel3:
     """The default fusion preprocessing mask: -1 neighbors around a boosted
     center, scaled by 1/9.
 
-    |center| above MAX_CENTER raises ValueError. Within it, a filtered
+    A center that is a bool or not a real number, or whose |center| is
+    above MAX_CENTER, raises ValueError. Within the bound, a filtered
     uint8 sample is at most (1e6 + 8) * 255 / 9 < 3e7 in magnitude, so a
     local moment of them, below 1e20 times that (see
     `fusion._moment_weights`), is below 3e27: finite by far.
     """
     coeffs = np.full((3, 3), -1.0)
-    coeffs[1, 1] = center
+    coeffs[1, 1] = check_real(center, "center")
     if abs(coeffs[1, 1]) > MAX_CENTER:  # a NaN goes on to Kernel3's finiteness check
         raise ValueError(f"center must be in [-{MAX_CENTER}, {MAX_CENTER}], got {center}")
     return Kernel3(coeffs, scale=1.0 / 9.0)

@@ -426,8 +426,9 @@ FUSION_METHODS = tuple(sorted(_FUSER_CLASSES))
 def make_fuser(method: str, **params) -> Fuser:
     """Instantiate a fuser by method name ('moment', 'average' or 'pca').
 
-    Parameters not accepted by the chosen fuser are ignored, so one flat
-    parameter namespace can drive every method.
+    Parameters that another fuser declares but the chosen one does not are
+    ignored, so one flat parameter namespace can drive every method; a name
+    that no fuser declares raises ValueError.
     """
     try:
         cls = _FUSER_CLASSES[method]
@@ -435,5 +436,10 @@ def make_fuser(method: str, **params) -> Fuser:
         raise ValueError(
             f"unknown fusion method {method!r}; expected one of {', '.join(FUSION_METHODS)}"
         ) from None
+    known = {name for fuser in _FUSER_CLASSES.values() for name in fuser._param_names()}
+    for name in params:
+        if name not in known:
+            raise ValueError(f"unknown fuser parameter {name!r}; "
+                             f"expected one of {', '.join(sorted(known))}")
     accepted = set(cls._param_names())
     return cls(**{k: v for k, v in params.items() if k in accepted})

@@ -11,13 +11,13 @@ import contextvars
 import functools
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .fusion import _run_strips
 from .image import joint_counts, padded_rows
-from .validation import check_image_u8, check_pair
+from .validation import check_image_u8, check_pair, check_real
 
 
 def histogram256(img: np.ndarray) -> np.ndarray:
@@ -195,9 +195,10 @@ MAX_WEIGHT_EXPONENT = 64.0
 class QabfConstants:
     """Sigmoid constants of the edge preservation score.
 
-    Defaults are the standard published values for the metric; both sigmoid
-    ceilings must stay in (0, 1] so the score cannot exceed 1, and the weight
-    exponent in [0, MAX_WEIGHT_EXPONENT] so it cannot come out NaN.
+    Defaults are the standard published values for the metric. Every field
+    must be a finite real number, not a bool; both sigmoid ceilings must stay
+    in (0, 1] so the score cannot exceed 1, and the weight exponent in
+    [0, MAX_WEIGHT_EXPONENT] so it cannot come out NaN.
     """
 
     gamma_g: float = 0.9994
@@ -209,8 +210,7 @@ class QabfConstants:
     weight_exponent: float = 1.0
 
     def __post_init__(self):
-        values = (self.gamma_g, self.kappa_g, self.sigma_g,
-                  self.gamma_a, self.kappa_a, self.sigma_a, self.weight_exponent)
+        values = [check_real(getattr(self, f.name), f.name) for f in fields(self)]
         if not all(math.isfinite(v) for v in values):
             raise ValueError("all constants must be finite")
         if not (0.0 < self.gamma_g <= 1.0 and 0.0 < self.gamma_a <= 1.0):

@@ -43,17 +43,22 @@ def _check_sigma(sigma: float) -> float:
     return sigma
 
 
-def _blur(arr: np.ndarray, sigma: float, dtype) -> np.ndarray:
-    """Separable Gaussian blur of a 2-D raster with replicate borders, in
-    row strips; a uint8 `dtype` rounds each strip with `round_u8`.
+def gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
+    """Separable Gaussian blur of an 8-bit raster with replicate borders, in
+    row strips, each rounded to 8 bits with `round_u8`.
 
-    Each pixel gets the vertical taps, then the horizontal ones, in the
-    order and with the bits of `correlate` with kernel[:, None] and then
-    kernel[None, :] on the full raster.
+    sigma <= 0 returns an unmodified copy; a non-finite sigma or one above
+    MAX_SIGMA raises ValueError. Each pixel gets the vertical taps, then the
+    horizontal ones, in the order and with the bits of `correlate` with
+    kernel[:, None] and then kernel[None, :] on the full raster.
     """
+    _check_sigma(sigma)
+    img = check_image_u8(img)
+    if sigma <= 0.0:
+        return img.copy()
     kernel = _gaussian_kernel1d(sigma)
     radius = len(kernel) // 2
-    height, width = arr.shape
+    height, width = img.shape
     stride = width + 2 * radius
 
     def blur_strip(top, bottom):
@@ -62,35 +67,16 @@ def _blur(arr: np.ndarray, sigma: float, dtype) -> np.ndarray:
         # The edge columns are repeated too, so the vertical taps give the
         # pad columns the blurred edge columns' bits, which the horizontal
         # taps read there.
-        padded = padded_rows(arr, top - radius, bottom + radius, radius)
+        padded = padded_rows(img, top - radius, bottom + radius, radius)
         vertical = accumulate(padded, kernel[:, None], np.empty((rows, stride)), term)
         # The horizontal pass writes over the first rows of `padded`, which
         # the vertical pass has finished reading.
         blurred = accumulate(vertical, kernel[None, :], padded[:rows], term)[:, :width]
         # A blur of uint8 samples is finite, so rounding skips quantize's
         # scan.
-        return (round_u8(blurred) if dtype == np.uint8 else blurred,)
+        return (round_u8(blurred),)
 
-    return _run_strips(height, width, blur_strip, (dtype,))[0]
-
-
-def gaussian_blur_float(arr: np.ndarray, sigma: float) -> np.ndarray:
-    """Separable Gaussian blur of a float raster with replicate borders.
-
-    sigma <= 0 returns an unmodified copy; a non-finite one or one above
-    MAX_SIGMA raises ValueError.
-    """
-    if _check_sigma(sigma) <= 0.0:
-        return np.array(arr, copy=True, dtype=np.float64)
-    return _blur(np.asarray(arr), sigma, np.float64)
-
-
-def gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
-    """Gaussian blur of an 8-bit raster, requantized to 8 bits; sigma as in
-    `gaussian_blur_float`."""
-    _check_sigma(sigma)
-    img = check_image_u8(img)
-    return img.copy() if sigma <= 0.0 else _blur(img, sigma, np.uint8)
+    return _run_strips(height, width, blur_strip, (np.uint8,))[0]
 
 
 @dataclass

@@ -6,6 +6,8 @@ finite). The helpers below enforce those contracts at API boundaries so the
 numeric kernels can assume clean input.
 """
 
+import numbers
+
 import numpy as np
 
 
@@ -44,6 +46,14 @@ def check_image_float(img, name: str = "image") -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite samples")
     return arr
+
+
+def check_real(value, name: str):
+    """Return value if it is a real number and not a bool; raise ValueError
+    if not. numpy ints and floats pass; a string would be parsed by numpy."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return value
 
 
 def check_same_shape(a: np.ndarray, b: np.ndarray,

@@ -46,6 +46,17 @@ def test_discover_pairs_and_orphans(tmp_path):
     assert orphans == ["notes.pgm", "stray_a.pgm"]
 
 
+def test_discover_pairs_gives_no_pair_an_empty_id(tmp_path):
+    # `_a.pgm` and `_b.pgm` used to form a pair whose report rows began
+    # with an empty cell.
+    write_pair_dir(tmp_path, n=1)
+    for name in ("_a.pgm", "_b.pgm"):
+        write_pgm(tmp_path / name, np.zeros((4, 4), dtype=np.uint8))
+    pairs, orphans = discover_pairs(tmp_path)
+    assert [p.pair_id for p in pairs] == ["000"]
+    assert orphans == ["_a.pgm", "_b.pgm"]
+
+
 def test_manifest_parsing(tmp_path):
     write_pair_dir(tmp_path, n=1)
     manifest = tmp_path / "pairs.txt"
@@ -100,6 +111,13 @@ def test_run_pair_unknown_method():
     img = np.zeros((4, 4), dtype=np.uint8)
     with pytest.raises(ValueError, match="unknown fusion method"):
         run_pair(img, img, methods=("wavelet",))
+
+
+@pytest.mark.parametrize("methods", [("moment",), ("average", "pca")])
+def test_run_pair_rejects_a_parameter_no_fuser_declares(methods):
+    img = np.zeros((4, 4), dtype=np.uint8)
+    with pytest.raises(ValueError, match="^unknown fuser parameter 'windw'"):
+        run_pair(img, img, methods, windw=7, centre=9.0)
 
 
 def test_bare_string_methods_is_rejected_before_any_pair_is_read(tmp_path, monkeypatch):
@@ -308,6 +326,12 @@ def test_run_batch_missing_file_is_skipped(tmp_path):
     (("moment",), {"window": 99}, "window must be at most 97, got 99"),
     (("moment",), {"center": -1000002.0},
      re.escape("center must be in [-1000000.0, 1000000.0], got -1000002.0")),
+    (("moment",), {"windw": 7}, "^unknown fuser parameter 'windw'"),
+    (("average", "pca"), {"centre": 9.0}, "^unknown fuser parameter 'centre'"),
+    (("moment",), {"center": "17.9"}, "^center must be a real number, got '17.9'$"),
+    (("moment",), {"center": True}, "^center must be a real number, got True$"),
+    (("moment",), {"center": np.float32(17.0)}, None),
+    (("moment",), {"center": np.int64(17)}, None),
 ])
 def test_run_batch_checks_methods_and_parameters_before_reading(tmp_path, monkeypatch,
                                                                 methods, params, message):

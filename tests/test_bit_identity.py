@@ -18,10 +18,9 @@ import pytest
 from momentfuse.batch import discover_pairs, emit_report, run_batch, run_pair
 from momentfuse.filters import preprocess
 from momentfuse.fusion import MomentFuser, local_moment_map
-from momentfuse.image import widen
 from momentfuse.metrics import sobel_edges
 from momentfuse.pgm import write_pgm
-from momentfuse.synthetic import gaussian_blur_float, synthesize_pairs
+from momentfuse.synthetic import gaussian_blur, synthesize_pairs
 
 EXPECTED = {
     "preprocess":
@@ -47,7 +46,7 @@ EXPECTED = {
         "baseline(X86_V2)": "ff6189e84d7efc096f0d63713b58a91b222248caee11b9bbdaaf2726311b81bd",
     },
     "gaussian_blur_1.3":
-        "1c6eb1a5b687c0c1277c1cd92bd12624a4d0c347fb56dfe4c92b1cd8fb596900",
+        "0f2791c88cd35c0a2bff6c1f9e3f8a5095fb2e5c34b4606d53f39cae8cdb5f6f",
     "fuse_fused_f":
         "fee7cd5d5cd356a77c05c33c8187ac47373d28ca8381053f7a3331ad162f643e",
     "fuse_decision":
@@ -128,7 +127,7 @@ def _outputs() -> dict:
     edges = sobel_edges(a)
     out["sobel_strength"] = edges.strength
     out["sobel_orientation"] = edges.orientation
-    out["gaussian_blur_1.3"] = gaussian_blur_float(widen(a), 1.3)
+    out["gaussian_blur_1.3"] = gaussian_blur(a, 1.3)
     result = MomentFuser().fuse(a, b)
     out["fuse_fused_f"] = result.fused_f
     out["fuse_decision"] = result.decision

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import types
 
 import numpy as np
 import pytest
@@ -85,6 +86,25 @@ def test_fuse_dump_decision_without_selection_is_rejected_before_any_io(tmp_path
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "--dump-decision" in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("spelling", ["same", "dotted", "symlink"])
+def test_fuse_dump_decision_cannot_overwrite_the_output(tmp_path, capsys, spelling):
+    # The decision map used to overwrite the fused raster, and the command
+    # still reported the fused raster written. The inputs are missing, so
+    # exit 1 rather than 2 shows the check runs before any read.
+    out = tmp_path / "o.pgm"
+    dump = {"same": out, "dotted": tmp_path / "." / "o.pgm", "symlink": tmp_path / "link.pgm"}
+    if spelling == "symlink":
+        os.symlink(out, dump["symlink"])
+    code = main(["fuse", "--in-a", str(tmp_path / "nope_a.pgm"),
+                 "--in-b", str(tmp_path / "nope_b.pgm"), "--out", str(out),
+                 "--dump-decision", str(dump[spelling])])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "name the same file" in captured.err
+    assert not out.exists()
 
 
 def test_fuse_missing_input_is_data_error(tmp_path):
@@ -510,6 +530,26 @@ def test_main_runs_without_mallopt(tmp_path, monkeypatch, fault):
     monkeypatch.setattr(cli.ctypes, "CDLL", no_libc)
     assert main(["synth", "--out-dir", str(tmp_path), "--pairs", "1"]) == 0
     assert sorted(os.listdir(tmp_path)) == ["000_a.pgm", "000_b.pgm"]
+
+
+@pytest.mark.parametrize("mmap_result, expected", [
+    (0, [(cli._M_MMAP_THRESHOLD, cli._MMAP_THRESHOLD)]),
+    (1, [(cli._M_MMAP_THRESHOLD, cli._MMAP_THRESHOLD),
+         (cli._M_TRIM_THRESHOLD, cli._TRIM_THRESHOLD)]),
+])
+def test_main_raises_the_trim_threshold_only_after_the_mmap_threshold(
+        tmp_path, monkeypatch, mmap_result, expected):
+    # A raised trim threshold alone sends raster-sized arrays to mmap, so a
+    # refused mmap threshold must leave the trim threshold as it is.
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return mmap_result if param == cli._M_MMAP_THRESHOLD else 1
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+    assert main(["synth", "--out-dir", str(tmp_path), "--pairs", "1"]) == 0
+    assert calls == expected
 
 
 # Calls the console script's entry point (`module:function`, the first

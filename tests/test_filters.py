@@ -153,3 +153,12 @@ def test_preprocess_tracks_scaled_input_far_from_edges():
 def test_preprocess_center_override():
     out = preprocess(np.full((5, 5), 90, dtype=np.uint8), center=17.0)
     assert np.allclose(out, 90.0, atol=1e-9)  # center 17 gives unit DC gain
+
+
+@pytest.mark.parametrize("center", ["17.9", True, np.False_, None, 1j])
+def test_high_boost_mask_rejects_a_non_number_or_bool(center):
+    # numpy parsed "17.9" on assignment, and True gave a center of 1.0.
+    img = np.zeros((3, 3), dtype=np.uint8)
+    for stage in (high_boost_mask, lambda center: preprocess(img, center)):
+        with pytest.raises(ValueError, match="^center must be a real number, got "):
+            stage(center)

@@ -31,7 +31,7 @@ from momentfuse.fusion import (
 )
 from momentfuse.image import quantize, widen
 from momentfuse.metrics import sobel_edges
-from momentfuse.synthetic import complementary_blur_pair, gaussian_blur_float, random_texture
+from momentfuse.synthetic import complementary_blur_pair, gaussian_blur, random_texture
 from momentfuse.validation import ShapeMismatchError
 
 
@@ -422,6 +422,13 @@ def test_make_fuser_names_and_params():
         make_fuser("dwt")
 
 
+@pytest.mark.parametrize("method", ["moment", "average", "pca"])
+def test_make_fuser_rejects_a_parameter_no_fuser_declares(method):
+    # A misspelled name used to be dropped, and the fuser ran on its default.
+    with pytest.raises(ValueError, match="^unknown fuser parameter 'windw'; expected one of "):
+        make_fuser(method, windw=7)
+
+
 def test_estimator_param_round_trip():
     fuser = MomentFuser()
     fuser.set_params(window=5, magnitude=False)
@@ -469,6 +476,10 @@ def assert_same_outputs(result, expected):
     ({"magnitude": 1}, "magnitude must be a bool, got 1"),
     ({"p": True}, "p must be an integer, got True"),
     ({"window": False}, "window must be an integer, got False"),
+    ({"center": "17.9"}, "center must be a real number, got '17.9'"),
+    ({"center": True}, "center must be a real number, got True"),
+    ({"center": np.True_}, f"center must be a real number, got {np.True_!r}"),
+    ({"center": None}, "center must be a real number, got None"),
 ])
 def test_fuse_rejects_bad_params_before_tiling(shape, params, message):
     # A negative window used to give a negative halo, and with it an empty
@@ -687,7 +698,7 @@ def test_every_output_array_is_c_contiguous(monkeypatch, strip_pixels, window):
         "preprocess": filtered,
         "convolve3": convolve3(widen(a), high_boost_mask()),
         "local_moment_map": local_moment_map(filtered, window=window),
-        "gaussian_blur_float": gaussian_blur_float(widen(a), 1.3),
+        "gaussian_blur": gaussian_blur(a, 1.3),
     })
     assert len(outputs) == 4 * 5 + 2 * 2 + 6
     for name, out in outputs.items():

@@ -474,6 +474,24 @@ def test_qabf_constants_validation():
         QabfConstants(kappa_g=float("nan"))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("gamma_g", "0.5"), ("kappa_a", None), ("sigma_g", [0.5]),
+    ("weight_exponent", True), ("sigma_a", np.True_),
+])
+def test_qabf_constants_reject_a_non_number_or_bool(field, value):
+    # A string used to raise TypeError from math.isfinite, and True passed
+    # as 1.0.
+    message = f"{field} must be a real number, got {value!r}"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        QabfConstants(**{field: value})
+
+
+def test_qabf_constants_accept_numpy_numbers():
+    k = QabfConstants(gamma_g=np.float64(0.5), kappa_g=np.int64(-15),
+                      sigma_a=np.float32(0.75), weight_exponent=np.int8(2))
+    assert (k.gamma_g, k.kappa_g, k.sigma_a, k.weight_exponent) == (0.5, -15, 0.75, 2)
+
+
 @pytest.mark.parametrize("exponent", [math.nextafter(MAX_WEIGHT_EXPONENT, math.inf), 200.0])
 def test_qabf_constants_reject_a_weight_exponent_above_the_bound(exponent):
     # At 200 the weights of a 64^2 pair overflowed, and inf / inf scored NaN.

@@ -21,7 +21,6 @@ from momentfuse.synthetic import (
     _tile_side,
     complementary_blur_pair,
     gaussian_blur,
-    gaussian_blur_float,
     random_texture,
     synthesize_pairs,
 )
@@ -35,12 +34,11 @@ def test_blur_preserves_constants():
 def test_blur_zero_sigma_is_identity_copy():
     rng = np.random.default_rng(1)
     img = rng.integers(0, 256, size=(8, 8), dtype=np.uint8)
-    out = gaussian_blur(img, 0.0)
-    assert np.array_equal(out, img)
-    arr = img.astype(float)
-    out_f = gaussian_blur_float(arr, -1.0)
-    out_f[0, 0] = 999.0
-    assert arr[0, 0] != 999.0  # copy, not view
+    for sigma in (0.0, -1.0):
+        out = gaussian_blur(img, sigma)
+        assert np.array_equal(out, img)
+        out[0, 0] = ~img[0, 0]
+        assert out[0, 0] != img[0, 0]  # copy, not view
 
 
 def test_blur_reduces_contrast_and_preserves_mean_roughly():
@@ -51,22 +49,11 @@ def test_blur_reduces_contrast_and_preserves_mean_roughly():
     assert abs(blurred.astype(float).mean() - img.astype(float).mean()) < 2.0
 
 
-def test_blur_kernel_mass_is_one():
-    # A delta spike spreads but keeps its total mass (replicate border, spike
-    # far from edges).
-    img = np.zeros((21, 21))
-    img[10, 10] = 900.0
-    out = gaussian_blur_float(img, 1.5)
-    assert out.sum() == pytest.approx(900.0, rel=1e-12)
-    assert out[10, 10] < 900.0
-
-
 @pytest.mark.parametrize("sigma", [math.inf, -math.inf, math.nan])
 def test_blur_rejects_a_non_finite_sigma(sigma):
     img = np.zeros((4, 4), np.uint8)
-    for blur, arr in ((gaussian_blur, img), (gaussian_blur_float, widen(img))):
-        with pytest.raises(ValueError, match=f"^sigma must be finite, got {sigma}$"):
-            blur(arr, sigma)
+    with pytest.raises(ValueError, match=f"^sigma must be finite, got {sigma}$"):
+        gaussian_blur(img, sigma)
     with pytest.raises(ValueError, match=f"^sigma must be finite, got {sigma}$"):
         synthesize_pairs(1, sigma, seed=0, height=8, width=8)
 
@@ -77,10 +64,9 @@ def test_blur_rejects_a_sigma_above_the_bound(sigma):
     # terabytes, and 1e20 appended taps until memory ran out.
     img = np.zeros((4, 4), np.uint8)
     message = "^" + re.escape(f"sigma must be at most {MAX_SIGMA}, got {sigma}") + "$"
-    for blur, arr in ((gaussian_blur, img), (gaussian_blur_float, widen(img)),
-                      (lambda arr, sigma: complementary_blur_pair(arr, 2, sigma), img)):
+    for blur in (gaussian_blur, lambda arr, sigma: complementary_blur_pair(arr, 2, sigma)):
         with pytest.raises(ValueError, match=message):
-            blur(arr, sigma)
+            blur(img, sigma)
     with pytest.raises(ValueError, match=message):
         synthesize_pairs(1, sigma, seed=0, height=8, width=8)
 
@@ -90,8 +76,21 @@ def test_blur_at_the_sigma_bound():
     img = np.arange(12, dtype=np.uint8).reshape(3, 4)
     # The kernel is far wider than the raster, so the replicated corners
     # dominate every output, and their mean is this ramp's mean.
-    assert np.abs(gaussian_blur_float(widen(img), MAX_SIGMA) - img.mean()).max() < 1.0
-    assert gaussian_blur(img, MAX_SIGMA).shape == img.shape
+    blurred = gaussian_blur(img, MAX_SIGMA)
+    assert blurred.shape == img.shape
+    assert np.abs(widen(blurred) - img.mean()).max() < 1.0
+
+
+def test_blur_kernel_mass_is_one():
+    # A delta spike spreads but keeps its total mass (replicate border, spike
+    # far from edges); the 8-bit blur is that spread, rounded.
+    img = np.zeros((21, 21), np.uint8)
+    img[10, 10] = 255
+    spread = full_raster_blur(widen(img), 1.5)
+    assert spread.sum() == pytest.approx(255.0, rel=1e-12)
+    out = gaussian_blur(img, 1.5)
+    assert out.tobytes() == quantize(spread).tobytes()
+    assert out[10, 10] < 255
 
 
 def test_kernel_taps_are_python_floats_normalized_by_fsum():
@@ -140,16 +139,11 @@ def test_blur_in_one_row_strips_matches_full_raster(monkeypatch, height, width, 
     monkeypatch.setattr(fusion, "_worker_count", lambda tasks: min(tasks, workers))
     rng = np.random.default_rng(height * 10 + width)
     img = rng.integers(0, 256, size=(height, width), dtype=np.uint8)
-    values = rng.normal(0.0, 100.0, size=(height, width))
     with np.errstate(all="raise"):
-        expected_u8 = quantize(full_raster_blur(widen(img), sigma))
-        expected_f = full_raster_blur(values, sigma)
-        blurred_u8 = gaussian_blur(img, sigma)
-        blurred_f = gaussian_blur_float(values, sigma)
-    assert blurred_u8.dtype == np.uint8 and blurred_u8.flags.c_contiguous
-    assert blurred_u8.tobytes() == expected_u8.tobytes()
-    assert blurred_f.dtype == np.float64 and blurred_f.flags.c_contiguous
-    assert blurred_f.tobytes() == expected_f.tobytes()
+        expected = quantize(full_raster_blur(widen(img), sigma))
+        blurred = gaussian_blur(img, sigma)
+    assert blurred.dtype == np.uint8 and blurred.flags.c_contiguous
+    assert blurred.tobytes() == expected.tobytes()
 
 
 @settings(max_examples=100, deadline=None)
@@ -161,11 +155,9 @@ def test_blur_is_tiling_invariant(shape, sigma, seed, strip_pixels, workers):
     with pytest.MonkeyPatch.context() as mp, np.errstate(all="raise"):
         mp.setattr(fusion, "_STRIP_PIXELS", strip_pixels)
         mp.setattr(fusion, "_worker_count", lambda tasks: min(tasks, workers))
-        blurred_u8 = gaussian_blur(img, sigma)
-        blurred_f = gaussian_blur_float(widen(img), sigma)
+        blurred = gaussian_blur(img, sigma)
         expected = full_raster_blur(widen(img), sigma)
-        assert blurred_u8.tobytes() == quantize(expected).tobytes()
-    assert blurred_f.tobytes() == expected.tobytes()
+        assert blurred.tobytes() == quantize(expected).tobytes()
 
 
 def float_canvas_texture(height, width, rng):
