@@ -26,7 +26,12 @@ AGGREGATE_ID = "(mean)"
 
 
 class EmptyBatchError(RuntimeError):
-    """Raised when a batch run has no pairs to evaluate."""
+    """Raised when a batch run has no pairs to evaluate; `skipped` holds the
+    (pair id, reason) of every pair it skipped, in pair order."""
+
+    def __init__(self, message: str, skipped=()):
+        super().__init__(message)
+        self.skipped = list(skipped)
 
 
 @dataclass
@@ -169,10 +174,11 @@ def run_batch(pairs: list[PairSpec], methods=FUSION_METHODS,
     Pairs whose files fail to decode or whose dimensions disagree are
     reported under `skipped` with the error message; a pair whose fusion or
     evaluation raises is reported there as "<Type>: <message>" and leaves no
-    row. KeyboardInterrupt still stops the run. Raises EmptyBatchError when
-    no pair at all produces a result. An unknown method, an empty
-    `methods`, a bare string for it or a bad fuser parameter would fail
-    every pair alike, so it raises ValueError before any pair is read.
+    row. KeyboardInterrupt still stops the run. Raises EmptyBatchError,
+    carrying the skipped list, when no pair at all produces a result. An
+    unknown method, an empty `methods`, a bare string for it or a bad fuser
+    parameter would fail every pair alike, so it raises ValueError before
+    any pair is read.
 
     Each pair is decoded and scored by `run_pair` without its results, on
     one thread per CPU (inline on one CPU), so at most one decoded pair per
@@ -204,7 +210,8 @@ def run_batch(pairs: list[PairSpec], methods=FUSION_METHODS,
         else:
             rows.extend(BatchRow(spec.pair_id, o.method, o.record) for o in outcomes)
     if not rows:
-        raise EmptyBatchError("batch produced no results: empty or fully skipped pair set")
+        raise EmptyBatchError("batch produced no results: empty or fully skipped pair set",
+                              skipped)
     rows.sort(key=lambda row: (row.pair_id, row.method))
     return BatchReport(rows=rows, aggregates=_aggregate(rows), skipped=skipped)
 

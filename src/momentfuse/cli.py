@@ -8,7 +8,6 @@ those win on conflict.
 
 import argparse
 import ctypes
-import dataclasses
 import json
 import os
 import sys
@@ -22,7 +21,6 @@ from .batch import (
     read_manifest,
     run_batch,
 )
-from .filters import DEFAULT_CENTER_WEIGHT
 from .fusion import FUSION_METHODS, MomentFuser, make_fuser
 from .metrics import evaluate
 from .pgm import PgmError, read_pgm, write_atomically, write_pgm
@@ -87,29 +85,26 @@ def _with_config(argv: list) -> list:
 
 
 def _methods(text: str) -> list:
-    """--methods: a non-empty comma-separated list of fusion methods."""
-    methods = [m.strip() for m in text.split(",") if m.strip()]
-    if not methods or not set(methods) <= set(FUSION_METHODS):
-        raise argparse.ArgumentTypeError(
-            f"expected a comma-separated list of {', '.join(FUSION_METHODS)}, got {text!r}")
-    return methods
+    """--methods: the names of a comma-separated list, which `run_batch` checks."""
+    return [m.strip() for m in text.split(",") if m.strip()]
 
 
 def _fuser_params(args) -> dict:
-    return {field.name: getattr(args, field.name) for field in dataclasses.fields(MomentFuser)}
+    return {name: getattr(args, name) for name in MomentFuser().get_params()}
 
 
 def _add_fusion_flags(parser):
-    parser.add_argument("--source", choices=("filtered", "original"), default="filtered",
-                        help="draw fused pixels from the filtered or the original rasters")
-    parser.add_argument("--p", type=int, default=1, help="row-index exponent of the local moment")
-    parser.add_argument("--q", type=int, default=1,
-                        help="column-index exponent of the local moment")
-    parser.add_argument("--window", type=int, default=3, help="odd moment window side length")
-    parser.add_argument("--center", type=float, default=DEFAULT_CENTER_WEIGHT,
-                        help="center weight of the preprocessing mask")
-    parser.add_argument("--magnitude", action=argparse.BooleanOptionalAction, default=True,
-                        help="score absolute filtered values, or signed ones with --no-magnitude")
+    """The moment fuser's parameters as flags; their defaults are its fields,
+    and the fuser checks their values."""
+    parser.add_argument("--source", help="take fused pixels from 'filtered' or 'original' rasters")
+    parser.add_argument("--p", type=int, help="row-index exponent of the local moment")
+    parser.add_argument("--q", type=int, help="column-index exponent of the local moment")
+    parser.add_argument("--window", type=int, help="odd moment window side length")
+    parser.add_argument("--center", type=float, help="center weight of the preprocessing mask")
+    parser.add_argument("--magnitude", action=argparse.BooleanOptionalAction,
+                        help="score absolute filtered values, or signed ones with "
+                             "--no-magnitude (default: %(default)s)")
+    parser.set_defaults(**MomentFuser().get_params())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -165,6 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_fuse(args) -> int:
     fuser = make_fuser(args.method, **_fuser_params(args))
+    fuser._check_params()
     if args.dump_decision is not None:
         if not isinstance(fuser, MomentFuser):
             raise UsageError(
@@ -194,6 +190,14 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _print_skipped(skipped, orphans) -> list:
+    """The skipped pairs and the unpaired files, sorted, each printed on stderr."""
+    skipped = sorted(skipped + [(name, "unpaired file") for name in orphans])
+    for pair_id, reason in skipped:
+        print(f"skipped {pair_id}: {reason}", file=sys.stderr)
+    return skipped
+
+
 def cmd_batch(args) -> int:
     orphans = []
     if args.dir is not None:
@@ -201,12 +205,12 @@ def cmd_batch(args) -> int:
     else:
         pairs = read_manifest(args.manifest)
 
-    report = run_batch(pairs, args.methods, **_fuser_params(args))
-    report.skipped = sorted(
-        report.skipped + [(name, "unpaired file") for name in orphans]
-    )
-    for pair_id, reason in report.skipped:
-        print(f"skipped {pair_id}: {reason}", file=sys.stderr)
+    try:
+        report = run_batch(pairs, args.methods, **_fuser_params(args))
+    except EmptyBatchError as exc:
+        _print_skipped(exc.skipped, orphans)
+        raise
+    report.skipped = _print_skipped(report.skipped, orphans)
     write_atomically(args.report, emit_report(report, args.format))
     n_pairs = len({row.pair_id for row in report.rows})
     print(f"wrote {args.report} ({n_pairs} pairs x {len(set(args.methods))} methods, "

@@ -19,19 +19,26 @@ DEFAULT_CENTER_WEIGHT = 17.9
 MAX_CENTER = 1e6
 
 
-@dataclass
+@dataclass(frozen=True)
 class Kernel3:
-    """A 3x3 mask with a scalar factor applied after the weighted sum."""
+    """A 3x3 mask with a scalar factor applied after the weighted sum.
+
+    Frozen, with a read-only float64 copy of the coefficients, so no mask
+    changes after its checks; the caller's array stays its own.
+    """
 
     coeffs: np.ndarray
     scale: float = 1.0
 
     def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=np.float64)
-        if self.coeffs.shape != (3, 3):
-            raise ValueError(f"kernel must be 3x3, got {self.coeffs.shape}")
-        if not (np.all(np.isfinite(self.coeffs)) and np.isfinite(self.scale)):
+        coeffs = np.array(self.coeffs, dtype=np.float64)
+        if coeffs.shape != (3, 3):
+            raise ValueError(f"kernel must be 3x3, got {coeffs.shape}")
+        check_real(self.scale, "scale")
+        if not (np.all(np.isfinite(coeffs)) and np.isfinite(self.scale)):
             raise ValueError("kernel coefficients and scale must be finite")
+        coeffs.flags.writeable = False
+        object.__setattr__(self, "coeffs", coeffs)
 
     def dc_gain(self) -> float:
         """Response to a constant image: coefficient sum times scale."""

@@ -21,7 +21,7 @@ import numpy as np
 
 from .filters import DEFAULT_CENTER_WEIGHT, high_boost_mask
 from .image import accumulate, correlate, joint_counts, pad_edges, padded_rows, round_u8
-from .validation import check_image_float, check_pair, check_same_shape
+from .validation import check_image_float, check_int, check_pair, check_same_shape
 
 MAX_MOMENT_ORDER = 4  # guard against numeric blowup from huge index powers
 # The largest moment window: the largest odd side whose weights, at most
@@ -82,9 +82,7 @@ def _moment_weights(p: int, q: int, window: int) -> np.ndarray:
     sum on the way too).
     """
     for name, value in (("p", p), ("q", q), ("window", window)):
-        # A bool is an int, but True is no moment order.
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+        check_int(value, name)
     if window < 1 or window % 2 == 0:
         raise ValueError(f"window must be odd and >= 1, got {window}")
     if window > MAX_WINDOW:

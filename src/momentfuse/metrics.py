@@ -191,14 +191,16 @@ def _orientation(sx: np.ndarray, sy: np.ndarray) -> np.ndarray:
 MAX_WEIGHT_EXPONENT = 64.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class QabfConstants:
     """Sigmoid constants of the edge preservation score.
 
     Defaults are the standard published values for the metric. Every field
     must be a finite real number, not a bool; both sigmoid ceilings must stay
     in (0, 1] so the score cannot exceed 1, and the weight exponent in
-    [0, MAX_WEIGHT_EXPONENT] so it cannot come out NaN.
+    [0, MAX_WEIGHT_EXPONENT] so it cannot come out NaN. The dataclass is
+    frozen, so no field skips these checks: `dataclasses.replace` builds a
+    new, checked instance.
     """
 
     gamma_g: float = 0.9994

@@ -14,7 +14,7 @@ import numpy as np
 
 from .fusion import _run_strips
 from .image import accumulate, padded_rows, round_u8
-from .validation import check_image_u8
+from .validation import check_image_u8, check_int, check_real
 
 
 # Largest blur sigma, a kernel of 2 * 300 + 1 taps; the tests, README and
@@ -34,9 +34,9 @@ def _gaussian_kernel1d(sigma: float) -> np.ndarray:
 
 
 def _check_sigma(sigma: float) -> float:
-    """Raise ValueError unless the blur sigma is finite and at most
-    MAX_SIGMA; return it."""
-    if not math.isfinite(sigma):
+    """Raise ValueError unless the blur sigma is a real number, not a bool,
+    finite and at most MAX_SIGMA; return it."""
+    if not math.isfinite(check_real(sigma, "sigma")):
         raise ValueError(f"sigma must be finite, got {sigma}")
     if sigma > MAX_SIGMA:
         raise ValueError(f"sigma must be at most {MAX_SIGMA}, got {sigma}")
@@ -47,10 +47,11 @@ def gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
     """Separable Gaussian blur of an 8-bit raster with replicate borders, in
     row strips, each rounded to 8 bits with `round_u8`.
 
-    sigma <= 0 returns an unmodified copy; a non-finite sigma or one above
-    MAX_SIGMA raises ValueError. Each pixel gets the vertical taps, then the
-    horizontal ones, in the order and with the bits of `correlate` with
-    kernel[:, None] and then kernel[None, :] on the full raster.
+    sigma <= 0 returns an unmodified copy; a sigma that is a bool or not a
+    real number, or is non-finite or above MAX_SIGMA, raises ValueError.
+    Each pixel gets the vertical taps, then the horizontal ones, in the
+    order and with the bits of `correlate` with kernel[:, None] and then
+    kernel[None, :] on the full raster.
     """
     _check_sigma(sigma)
     img = check_image_u8(img)
@@ -95,12 +96,13 @@ def complementary_blur_pair(base: np.ndarray, seam: int, sigma: float) -> Synthe
     """Split one sharp base into a registered pair with complementary blur.
 
     Output `a` has columns < seam blurred (sharp on the right), `b` has
-    columns >= seam blurred (sharp on the left). Fully deterministic.
+    columns >= seam blurred (sharp on the left). Fully deterministic. A
+    seam that is a bool or not an integer raises ValueError.
     """
     _check_sigma(sigma)
     base = check_image_u8(base, "base image")
     width = base.shape[1]
-    if not 0 < seam < width:
+    if not 0 < check_int(seam, "seam") < width:
         raise ValueError(f"seam must lie strictly inside the image, got {seam} for width {width}")
     blurred = gaussian_blur(base, sigma)
     a = base.copy()
@@ -170,17 +172,19 @@ def synthesize_pairs(n_pairs: int, sigma: float, seed: int,
 
     All randomness (textures when no base is given, seam positions) flows
     from the single seed. Pair ids are zero-padded indices, so the on-disk
-    naming convention `<id>_a.pgm` / `<id>_b.pgm` sorts naturally.
+    naming convention `<id>_a.pgm` / `<id>_b.pgm` sorts naturally. An
+    n_pairs, height or width that is a bool or not an integer raises
+    ValueError, as `gaussian_blur` does for sigma.
     """
-    if n_pairs < 1:
+    if check_int(n_pairs, "n_pairs") < 1:
         raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
     _check_sigma(sigma)
     if base is not None:
         base = check_image_u8(base, "base image")
         height, width = base.shape
-    if height < 1:
+    if check_int(height, "height") < 1:
         raise ValueError(f"height must be >= 1, got {height}")
-    if width < 2:
+    if check_int(width, "width") < 2:
         raise ValueError(f"width must be >= 2 to hold a seam, got {width}")
     rng = np.random.default_rng(seed)
     digits = max(3, len(str(n_pairs - 1)))

@@ -56,6 +56,14 @@ def check_real(value, name: str):
     return value
 
 
+def check_int(value, name: str):
+    """Return value if it is an integer and not a bool; raise ValueError if
+    not. numpy integers pass; a float would be truncated or rejected late."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def check_same_shape(a: np.ndarray, b: np.ndarray,
                      name_a: str = "first image", name_b: str = "second image"):
     """Require two rasters to be pixel-registered (identical shape)."""

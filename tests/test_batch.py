@@ -292,13 +292,21 @@ def test_run_batch_skips_bad_pairs(tmp_path):
 
 
 def test_run_batch_empty_and_all_failing(tmp_path):
-    with pytest.raises(EmptyBatchError):
+    with pytest.raises(EmptyBatchError) as info:
         run_batch([])
+    assert info.value.skipped == []
     (tmp_path / "x_a.pgm").write_bytes(b"junk")
     (tmp_path / "x_b.pgm").write_bytes(b"junk")
+    write_pgm(tmp_path / "y_a.pgm", np.zeros((4, 4), dtype=np.uint8))
+    write_pgm(tmp_path / "y_b.pgm", np.zeros((5, 4), dtype=np.uint8))
     pairs, _ = discover_pairs(tmp_path)
-    with pytest.raises(EmptyBatchError):
+    with pytest.raises(EmptyBatchError) as info:
         run_batch(pairs)
+    # The error keeps the reasons, as a report's skipped list would.
+    assert [pair_id for pair_id, _ in info.value.skipped] == ["x", "y"]
+    reasons = dict(info.value.skipped)
+    assert "magic" in reasons["x"]
+    assert "identical dimensions" in reasons["y"]
 
 
 def test_run_batch_missing_file_is_skipped(tmp_path):

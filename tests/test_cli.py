@@ -200,7 +200,8 @@ def test_batch_summary_counts_distinct_methods(tmp_path, capsys):
                  "--pairs", "2", "--seed", "3"]) == 0
     report = tmp_path / "report.json"
     capsys.readouterr()
-    assert main(["batch", "--dir", str(data_dir), "--methods", "moment,moment,average",
+    # Blank names and the spaces around names are dropped.
+    assert main(["batch", "--dir", str(data_dir), "--methods", "moment,moment, average,",
                  "--report", str(report), "--format", "json"]) == 0
     assert "(2 pairs x 2 methods, format=json)" in capsys.readouterr().out
     assert {row["method"] for row in json.loads(report.read_text())["rows"]} == {"moment", "average"}
@@ -322,11 +323,77 @@ def test_batch_requires_exactly_one_source(tmp_path):
                  "--report", str(tmp_path / "r.csv")]) == 1
 
 
-def test_batch_unknown_method(tmp_path):
+def test_batch_unknown_method(tmp_path, monkeypatch, capsys):
     data_dir = tmp_path / "pairs"
     main(["synth", "--out-dir", str(data_dir), "--pairs", "1", "--seed", "2"])
-    assert main(["batch", "--dir", str(data_dir), "--methods", "moment,dwt",
-                 "--report", str(tmp_path / "r.csv")]) == 1
+    capsys.readouterr()
+    reads = []
+    monkeypatch.setattr(momentfuse.batch, "read_pgm", reads.append)
+    report = tmp_path / "r.csv"
+    # run_batch's messages, where the CLI had its own.
+    for methods, message in [
+        ("moment,dwt", "unknown fusion method 'dwt'; expected one of average, moment, pca"),
+        (",", "methods must name at least one fusion method"),
+    ]:
+        assert main(["batch", "--dir", str(data_dir), "--methods", methods,
+                     "--report", str(report)]) == 1
+        assert capsys.readouterr().err == f"momentfuse: error: {message}\n"
+    assert reads == []
+    assert not report.exists()
+
+
+def test_fusion_flags_default_to_the_fuser_fields():
+    params = MomentFuser().get_params()
+    parser = cli.build_parser()
+    for argv in (["fuse", "--in-a", "a.pgm", "--in-b", "b.pgm", "--out", "f.pgm"],
+                 ["batch", "--dir", "pairs", "--report", "r.csv"]):
+        args = parser.parse_args(argv)
+        got = {name: getattr(args, name) for name in params}
+        assert got == params
+        assert [type(value) for value in got.values()] == [type(v) for v in params.values()]
+
+
+@pytest.mark.parametrize("flag, message", [
+    ("--window=4", "window must be odd and >= 1, got 4"),
+    ("--source=bogus", "source must be 'filtered' or 'original', got 'bogus'"),
+])
+def test_fuse_checks_every_fusion_parameter_before_reading_any_input(
+        tmp_path, monkeypatch, capsys, flag, message):
+    # A bad window used to surface only after both inputs were read, so a
+    # missing input exited 2 instead.
+    reads = []
+    monkeypatch.setattr(cli, "read_pgm", reads.append)
+    code = main(["fuse", "--in-a", str(tmp_path / "nope_a.pgm"),
+                 "--in-b", str(tmp_path / "nope_b.pgm"), "--out", str(tmp_path / "f.pgm"), flag])
+    assert code == 1
+    assert capsys.readouterr().err == f"momentfuse: error: {message}\n"
+    assert reads == []
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_batch_lists_its_directory_before_checking_methods(tmp_path, capsys):
+    assert main(["batch", "--dir", str(tmp_path / "missing"), "--methods", "dwt",
+                 "--report", str(tmp_path / "r.csv")]) == 2
+    assert capsys.readouterr().err.startswith("momentfuse: data error: ")
+
+
+def test_empty_batch_prints_why_each_pair_was_skipped(tmp_path, capsys):
+    # Every skipped pair used to go unnamed when none was left to report.
+    data_dir = tmp_path / "pairs"
+    data_dir.mkdir()
+    for side in "ab":
+        (data_dir / f"x_{side}.pgm").write_bytes(b"P5\n4 4\n255\n\x00\x01")
+    write_pgm(data_dir / "lonely_a.pgm", np.zeros((4, 4), dtype=np.uint8))
+    report = tmp_path / "r.csv"
+    assert main(["batch", "--dir", str(data_dir), "--report", str(report)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "skipped lonely_a.pgm: unpaired file",
+        "skipped x: truncated sample data: expected 16 samples, got 2",
+        "momentfuse: batch produced no results: empty or fully skipped pair set",
+    ]
+    assert not report.exists()
 
 
 def test_batch_bad_fuser_parameter_exits_1_with_the_fuse_message(pair_files, tmp_path, capsys):
@@ -574,11 +641,17 @@ def test_console_script_runs_synth_batch_and_eval(tmp_path):
 
     data_dir = tmp_path / "pairs"
     pair_a, pair_b = str(data_dir / "000_a.pgm"), str(data_dir / "000_b.pgm")
+    fused, decision = tmp_path / "fused.pgm", tmp_path / "decision.pgm"
     done = [run("synth", "--out-dir", str(data_dir), "--pairs", "2", "--seed", "4"),
             run("batch", "--dir", str(data_dir), "--report", str(tmp_path / "r.csv")),
             run("eval", "--in-a", pair_a, "--in-b", pair_b, "--fused", pair_a, "--json"),
-            run("eval", "--in-a", pair_a, "--wavelets", "4")]
-    assert [proc.returncode for proc in done] == [0, 0, 0, 1], [proc.stderr for proc in done]
+            run("eval", "--in-a", pair_a, "--wavelets", "4"),
+            run("fuse", "--in-a", pair_a, "--in-b", pair_b, "--out", str(fused),
+                "--dump-decision", str(decision))]
+    assert [proc.returncode for proc in done] == [0, 0, 0, 1, 0], [proc.stderr for proc in done]
     assert "Traceback" not in done[3].stderr
     assert set(json.loads(done[2].stdout)) == {"mim", "sd", "entropy", "qabf", "degenerate"}
     assert len((tmp_path / "r.csv").read_text().splitlines()) == 1 + 2 * 3 + 3
+    expected = MomentFuser().fuse(read_pgm(pair_a), read_pgm(pair_b))
+    assert np.array_equal(read_pgm(fused), expected.fused_u8)
+    assert np.array_equal(read_pgm(decision) == 255, expected.decision)

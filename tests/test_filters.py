@@ -1,5 +1,9 @@
 """Convolution engine tests against a naive quadruple-loop reference."""
 
+import dataclasses
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -118,6 +122,35 @@ def test_kernel_rejects_bad_shape_and_values():
         Kernel3(np.zeros((2, 3)))
     with pytest.raises(ValueError):
         Kernel3(np.full((3, 3), np.inf))
+    # "0.5" and None raised numpy's TypeError, and True scaled by 1.
+    for scale in ("0.5", True, np.True_, None):
+        message = f"scale must be a real number, got {scale!r}"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            Kernel3(np.zeros((3, 3)), scale=scale)
+
+
+def test_kernel_cannot_change_after_its_checks():
+    # Each change used to pass unchecked: a 5x5 mask was applied, a NaN
+    # coefficient made every sample NaN and an infinite scale none finite.
+    img = np.arange(30.0).reshape(5, 6)
+    k = high_boost_mask()
+    expected = convolve3(img, k)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        k.coeffs = np.ones((5, 5))
+    with pytest.raises(ValueError, match="read-only"):
+        k.coeffs[1, 1] = np.nan
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        k.scale = math.inf
+    assert np.array_equal(convolve3(img, k), expected)
+
+
+def test_kernel_keeps_its_own_copy_of_the_coefficients():
+    coeffs = np.full((3, 3), -1.0)
+    coeffs[1, 1] = 9.0
+    k = Kernel3(coeffs, scale=0.5)
+    assert coeffs.flags.writeable and not np.shares_memory(coeffs, k.coeffs)
+    coeffs[1, 1] = np.nan
+    assert k.coeffs[1, 1] == 9.0 and k.dc_gain() == 0.5
 
 
 def test_preprocess_constant_images():

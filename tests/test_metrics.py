@@ -1,5 +1,6 @@
 """Metric identities, oracles, and the edge preservation score."""
 
+import dataclasses
 import math
 import re
 import sys
@@ -498,6 +499,18 @@ def test_qabf_constants_reject_a_weight_exponent_above_the_bound(exponent):
     message = f"weight_exponent must be at most {MAX_WEIGHT_EXPONENT}, got {exponent}"
     with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
         QabfConstants(weight_exponent=exponent)
+
+
+def test_qabf_constants_are_frozen():
+    # A field assigned after construction skipped every check: with
+    # weight_exponent = 200 the seed-0 64^2 pair scored NaN.
+    k = QabfConstants()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        k.weight_exponent = 200.0
+    message = f"weight_exponent must be at most {MAX_WEIGHT_EXPONENT}, got 200.0"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        dataclasses.replace(k, weight_exponent=200.0)
+    assert k == QabfConstants()
 
 
 def test_weight_total_at_the_exponent_bound_is_finite_on_any_raster():

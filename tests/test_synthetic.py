@@ -71,6 +71,18 @@ def test_blur_rejects_a_sigma_above_the_bound(sigma):
         synthesize_pairs(1, sigma, seed=0, height=8, width=8)
 
 
+@pytest.mark.parametrize("sigma", ["2", True, np.True_, None])
+def test_blur_rejects_a_sigma_that_is_no_real_number(sigma):
+    # "2" raised numpy's TypeError, and True blurred as sigma 1.
+    img = np.zeros((4, 4), np.uint8)
+    message = "^" + re.escape(f"sigma must be a real number, got {sigma!r}") + "$"
+    for blur in (gaussian_blur, lambda arr, sigma: complementary_blur_pair(arr, 2, sigma)):
+        with pytest.raises(ValueError, match=message):
+            blur(img, sigma)
+    with pytest.raises(ValueError, match=message):
+        synthesize_pairs(1, sigma, seed=0, height=8, width=8)
+
+
 def test_blur_at_the_sigma_bound():
     assert len(_gaussian_kernel1d(MAX_SIGMA)) == 2 * 300 + 1
     img = np.arange(12, dtype=np.uint8).reshape(3, 4)
@@ -250,6 +262,10 @@ def test_pair_rejects_degenerate_seam():
     for seam in (0, 4, -1, 7):
         with pytest.raises(ValueError):
             complementary_blur_pair(base, seam, 1.0)
+    # True split at column 1, and 2.0 failed as a slice index.
+    for seam in (True, np.True_, 2.0, "2"):
+        with pytest.raises(ValueError, match=f"^seam must be an integer, got {seam!r}$"):
+            complementary_blur_pair(base, seam, 1.0)
 
 
 def test_random_texture_is_full_card():
@@ -311,3 +327,27 @@ def test_synthesize_pairs_rejects_a_raster_without_rows(height):
 def test_synthesize_pairs_rejects_empty_request():
     with pytest.raises(ValueError):
         synthesize_pairs(0, 1.0, seed=1)
+    # True made one pair, and 2.5 failed in range().
+    for n_pairs in (True, 2.5, "2"):
+        with pytest.raises(ValueError, match=f"^n_pairs must be an integer, got {n_pairs!r}$"):
+            synthesize_pairs(n_pairs, 1.0, seed=1)
+
+
+@pytest.mark.parametrize("side, value", [
+    ("height", 8.0), ("height", True), ("width", 8.0), ("width", np.True_),
+])
+def test_synthesize_pairs_rejects_a_side_that_is_no_integer(side, value):
+    with pytest.raises(ValueError, match=f"^{side} must be an integer, got {value!r}$"):
+        synthesize_pairs(1, 1.0, seed=1, **{side: value})
+
+
+def test_synthetic_arguments_accept_numpy_numbers():
+    expected = synthesize_pairs(2, 1.5, seed=3, height=16, width=16)
+    got = synthesize_pairs(np.int64(2), np.float64(1.5), seed=3,
+                           height=np.int32(16), width=np.uint16(16))
+    for (id_e, e), (id_g, g) in zip(expected, got, strict=True):
+        assert id_e == id_g and e.seam == g.seam
+        assert np.array_equal(e.a, g.a) and np.array_equal(e.b, g.b)
+    base = expected[0][1].a
+    assert np.array_equal(complementary_blur_pair(base, np.int64(5), np.float64(1.5)).a,
+                          complementary_blur_pair(base, 5, 1.5).a)
