@@ -181,10 +181,11 @@ def run_batch(pairs: list[PairSpec], methods=FUSION_METHODS,
     any pair is read.
 
     Each pair is decoded and scored by `run_pair` without its results, on
-    one thread per CPU (inline on one CPU), so at most one decoded pair per
-    CPU is in flight. Outcomes are taken in pair order, so the rows, the
-    skipped list and both report formats are the same bytes on any number
-    of CPUs.
+    the calling thread and one helper per further CPU (inline on one CPU),
+    so at most one decoded pair per CPU is in flight; while pairs share the
+    pool, each pair's strips run inline on its own thread. Outcomes are
+    taken in pair order, so the rows, the skipped list and both report
+    formats are the same bytes on any number of CPUs.
     """
     for method in _method_names(methods):
         make_fuser(method, **fuser_params)._check_params()

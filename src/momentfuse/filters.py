@@ -19,12 +19,14 @@ DEFAULT_CENTER_WEIGHT = 17.9
 MAX_CENTER = 1e6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Kernel3:
     """A 3x3 mask with a scalar factor applied after the weighted sum.
 
     Frozen, with a read-only float64 copy of the coefficients, so no mask
-    changes after its checks; the caller's array stays its own.
+    changes after its checks; the caller's array stays its own. Masks
+    compare and hash by identity, as the fusers do: a field-wise == would
+    take the truth of an array comparison.
     """
 
     coeffs: np.ndarray

@@ -12,8 +12,7 @@ constructor arguments stored under the same names, introspectable through
 
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
-from contextvars import copy_context
+from contextvars import ContextVar, copy_context
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -33,6 +32,9 @@ MAX_WINDOW = 97
 # cache-sized. At 2048^2 on a 2-core Xeon, strips of 2**14 pixels were
 # slower than the untiled fuse, because small strips contend for the GIL.
 _STRIP_PIXELS = 1 << 16
+
+# True in the context of every item that `_pooled` hands to its threads.
+_IN_POOL: ContextVar = ContextVar("in_pool", default=False)
 
 
 @dataclass
@@ -110,38 +112,61 @@ def _worker_count(tasks: int) -> int:
 
 
 def _pooled(fn, items) -> list:
-    """[fn(item) for item in items], on one thread per CPU this process may
-    run on (inline on one CPU).
+    """[fn(item) for item in items], run by the calling thread and one
+    helper thread per further CPU this process may run on (inline on one
+    CPU, and inside an item of another `_pooled` call).
 
-    Each call runs in a copy of the caller's context, so the caller's
-    np.errstate and context variables hold in the workers as they do
-    inline, and a variable that a call sets stays in its own copy. Results
-    are taken in item order. Once a call raises, or the caller is
-    interrupted while it waits, no queued call starts: the calls already
-    running finish, and the first exception in item order propagates. A
-    pool per call: a process forked later inherits no idle threads.
+    The threads take items in order from one shared queue. Each item runs
+    in its own copy of the caller's context, all made before any item
+    starts, so the caller's np.errstate and context variables hold in every
+    item as they do inline, and a variable that an item sets stays in its
+    own copy. Results come back in item order. Once an item raises, or the
+    caller is interrupted between items, no queued item starts: the items
+    already running finish, and the first exception in item order
+    propagates. The helpers are started and joined inside each call, so a
+    process forked later inherits no idle threads. A `_pooled` call made
+    from inside an item runs inline on that item's thread, so a pool of
+    pairs does not start a pool of strips per pair.
     """
     items = list(items)
-    workers = _worker_count(len(items))
+    contexts = [copy_context() for _ in items]
+    workers = 1 if _IN_POOL.get() else _worker_count(len(items))
     if workers <= 1:
-        return [fn(item) for item in items]
-    stop = threading.Event()
+        return [context.run(fn, item) for context, item in zip(contexts, items)]
+    for context in contexts:
+        context.run(_IN_POOL.set, True)
+    results, failures = [None] * len(items), {}  # failures: item index to exception
+    pending = list(reversed(range(len(items))))  # popped from the end, in item order
+    lock = threading.Lock()
 
-    def call(context, item):
-        if stop.is_set():  # a call raised, and its exception will be taken first
-            return None
-        try:
-            return context.run(fn, item)
-        except BaseException:
-            stop.set()
-            raise
+    def drain():
+        while True:
+            with lock:
+                if not pending:
+                    return
+                index = pending.pop()
+            try:
+                results[index] = contexts[index].run(fn, items[index])
+            except BaseException as exc:
+                with lock:
+                    failures[index] = exc
+                    pending.clear()  # no queued item starts
+                return
 
-    with ThreadPoolExecutor(workers) as pool:
-        try:
-            futures = [pool.submit(call, copy_context(), item) for item in items]
-            return [future.result() for future in futures]
-        finally:
-            stop.set()
+    helpers = [threading.Thread(target=drain) for _ in range(workers - 1)]
+    try:
+        for helper in helpers:
+            helper.start()
+        drain()
+    finally:
+        with lock:  # an interrupted caller leaves no queued item to the helpers
+            pending.clear()
+        for helper in helpers:
+            if helper.ident is not None:  # it started
+                helper.join()
+    if failures:
+        raise failures[min(failures)]
+    return results
 
 
 def _run_strips(height: int, width: int, fn, dtypes) -> tuple:
@@ -159,7 +184,9 @@ def _run_strips(height: int, width: int, fn, dtypes) -> tuple:
     slower, through more page faults as the C heap grew. A block that is not
     C-contiguous is copied, so every output is. Otherwise the outputs are
     allocated before any strip runs, strips of about `_STRIP_PIXELS` pixels
-    run through `_pooled`, and each copies its rows in.
+    run through `_pooled`, and each copies its rows in. Called from an item
+    of another `_pooled` call, such as a pair of `run_batch`, the strips
+    run inline on that item's thread.
     """
     rows = max(1, _STRIP_PIXELS // width)
 

@@ -27,7 +27,11 @@ def histogram256(img: np.ndarray) -> np.ndarray:
 
 def entropy(img: np.ndarray) -> float:
     """Shannon entropy of the intensity histogram, in bits (0 to 8)."""
-    counts = histogram256(img)
+    return _entropy(histogram256(img))
+
+
+def _entropy(counts: np.ndarray) -> float:
+    """`entropy` of a raster from its 256 int64 level counts."""
     probs = counts[counts > 0] / counts.sum()
     # + 0.0 turns the -0.0 of a one-level raster into 0.0 and leaves every
     # nonzero value as it is.
@@ -53,7 +57,11 @@ def mutual_information(a: np.ndarray, f: np.ndarray) -> float:
     MI = sum p(u,v) * log2(p(u,v) / (p(u) p(v))) over the joint histogram;
     empty cells contribute nothing.
     """
-    joint = joint_histogram(a, f)
+    return _mutual_information(joint_histogram(a, f))
+
+
+def _mutual_information(joint: np.ndarray) -> float:
+    """`mutual_information` of two rasters from their 256x256 joint counts."""
     total = joint.sum()
     pj = joint / total
     pa = pj.sum(axis=1)
@@ -368,12 +376,21 @@ class MetricsRecord:
 
 def evaluate(a: np.ndarray, b: np.ndarray, f: np.ndarray,
              constants: QabfConstants | None = None) -> MetricsRecord:
-    """Bundle all four quality metrics of a fused raster."""
+    """Bundle all four quality metrics of a fused raster.
+
+    Each source's joint counts with the fused raster are built once: both
+    feed the MIM, and the column sums of the first are the fused raster's
+    level counts, the same int64 counts as `histogram256(f)`, so the
+    entropy is `entropy(f)`'s to the bit without another pass over f.
+    """
+    a, f = check_pair(a, f, "first source", "fused image")  # `qabf`'s checks
+    b, f = check_pair(b, f, "second source", "fused image")
     q, degenerate = qabf(a, b, f, constants)
+    joint_af, joint_bf = joint_counts(a, f), joint_counts(b, f)
     return MetricsRecord(
-        entropy_bits=entropy(f),
+        entropy_bits=_entropy(joint_af.sum(axis=0)),
         sd=std_dev(f),
-        mim_bits=mim(a, b, f),
+        mim_bits=_mutual_information(joint_af) + _mutual_information(joint_bf),
         qabf=q,
         degenerate_qabf=degenerate,
     )

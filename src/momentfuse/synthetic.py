@@ -173,7 +173,7 @@ def synthesize_pairs(n_pairs: int, sigma: float, seed: int,
     All randomness (textures when no base is given, seam positions) flows
     from the single seed. Pair ids are zero-padded indices, so the on-disk
     naming convention `<id>_a.pgm` / `<id>_b.pgm` sorts naturally. An
-    n_pairs, height or width that is a bool or not an integer raises
+    n_pairs, seed, height or width that is a bool or not an integer raises
     ValueError, as `gaussian_blur` does for sigma.
     """
     if check_int(n_pairs, "n_pairs") < 1:
@@ -186,7 +186,7 @@ def synthesize_pairs(n_pairs: int, sigma: float, seed: int,
         raise ValueError(f"height must be >= 1, got {height}")
     if check_int(width, "width") < 2:
         raise ValueError(f"width must be >= 2 to hold a seam, got {width}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_int(seed, "seed"))
     digits = max(3, len(str(n_pairs - 1)))
     out = []
     for index in range(n_pairs):

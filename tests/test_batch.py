@@ -448,6 +448,38 @@ def test_run_batch_reports_are_the_same_bytes_on_any_worker_count(tmp_path, monk
     assert metrics._SOURCE_TERMS.get() is None
 
 
+def test_a_batch_of_multi_strip_pairs_runs_its_strips_on_at_most_one_thread_per_worker(
+        tmp_path, monkeypatch):
+    # Strips of 64 pixels split each 24x24 pair into 12 strips per pooled
+    # stage. The strips run on their pair's thread, so no more threads run
+    # strips, or exist, than the batch pool has workers.
+    monkeypatch.setattr(fusion, "_STRIP_PIXELS", 64)
+    pairs = write_mixed_dir(tmp_path)
+    strips = []
+    pooled = fusion._pooled
+
+    def recording(fn, items):
+        def strip(item):
+            strips.append((threading.get_ident(), threading.active_count()))
+            return fn(item)
+        return pooled(strip, items)
+
+    monkeypatch.setattr(fusion, "_pooled", recording)  # `_run_strips`' pool, not the batch's
+    emitted = []
+    for workers in (1, 2, 4):
+        use_workers(monkeypatch, workers)
+        strips.clear()
+        threads = threading.active_count()
+        report = run_batch(pairs)
+        assert threading.active_count() == threads
+        assert len(strips) > 4 * 12  # every good pair ran many strips
+        assert len({ident for ident, _ in strips}) <= workers
+        assert max(active for _, active in strips) <= threads + workers - 1
+        emitted.append((emit_report(report, "csv"), emit_report(report, "json"),
+                        report.skipped))
+    assert emitted[0] == emitted[1] == emitted[2]
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_keyboard_interrupt_stops_the_batch_within_one_pair_per_worker(tmp_path, monkeypatch,
                                                                        workers):

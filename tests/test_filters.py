@@ -153,6 +153,14 @@ def test_kernel_keeps_its_own_copy_of_the_coefficients():
     assert k.coeffs[1, 1] == 9.0 and k.dc_gain() == 0.5
 
 
+def test_masks_compare_and_hash_by_identity():
+    k, other = high_boost_mask(), high_boost_mask()
+    assert np.array_equal(k.coeffs, other.coeffs) and k.scale == other.scale
+    # A field-wise == raised on the truth of the coefficient comparison.
+    assert k == k and k != other
+    assert hash(k) == hash(k) and len({k, other}) == 2
+
+
 def test_preprocess_constant_images():
     assert np.allclose(preprocess(np.full((5, 5), 100, dtype=np.uint8)), 110.0, atol=1e-9)
     assert np.allclose(preprocess(np.zeros((5, 5), dtype=np.uint8)), 0.0, atol=1e-15)

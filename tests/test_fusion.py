@@ -1,5 +1,6 @@
 """Decision-map semantics, the three fusers, and their invariants."""
 
+import contextvars
 import hashlib
 import math
 import os
@@ -672,6 +673,123 @@ def test_worker_count_follows_cpu_affinity(monkeypatch):
     assert fusion._worker_count(10**6) == cpus
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     assert fusion._worker_count(10**6) == (os.cpu_count() or 1)
+
+
+def force_workers(monkeypatch, workers):
+    monkeypatch.setattr(fusion, "_worker_count", lambda tasks: min(tasks, workers))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_pooled_runs_items_on_the_caller_and_at_most_workers_minus_one_helpers(monkeypatch,
+                                                                              workers):
+    force_workers(monkeypatch, workers)
+    threads = threading.active_count()
+
+    def item(index):
+        time.sleep(0.001)  # releases the GIL, so every thread gets items
+        return index, threading.get_ident(), threading.active_count()
+
+    runs = fusion._pooled(item, range(40))
+    assert threading.active_count() == threads
+    assert [index for index, _, _ in runs] == list(range(40))
+    caller = threading.get_ident()
+    ran_on = {ident for _, ident, _ in runs}
+    assert caller in ran_on and len(ran_on - {caller}) <= workers - 1
+    assert max(active for _, _, active in runs) <= threads + workers - 1
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_a_pooled_call_inside_an_item_runs_on_that_items_thread(monkeypatch, workers):
+    force_workers(monkeypatch, workers)
+    threads = threading.active_count()
+
+    def inner(index):
+        time.sleep(0.001)
+        return threading.get_ident(), threading.active_count()
+
+    def outer(index):
+        return threading.get_ident(), fusion._pooled(inner, range(6))
+
+    for ident, inner_runs in fusion._pooled(outer, range(5)):
+        assert [run_on for run_on, _ in inner_runs] == [ident] * 6
+        assert all(active <= threads + workers - 1 for _, active in inner_runs)
+    assert threading.active_count() == threads
+    # An item that has the pool to itself may pool its own items.
+    assert fusion._pooled(lambda item: fusion._IN_POOL.get(), [0]) == [False]
+
+
+def test_pooled_runs_each_item_once_under_frequent_thread_switches(monkeypatch):
+    # More threads than this host has CPUs, switching every few bytecodes: an
+    # index taken twice, or skipped, from the shared queue shows in `runs`.
+    force_workers(monkeypatch, 6)
+    runs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = fusion._pooled(lambda item: runs.append(item) or item * item, range(3000))
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [item * item for item in range(3000)]
+    assert sorted(runs) == list(range(3000))
+
+
+POOLED_VAR = contextvars.ContextVar("pooled_var", default=None)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_items_on_one_thread_do_not_see_each_others_context_variables(monkeypatch, workers):
+    force_workers(monkeypatch, workers)
+
+    def item(index):
+        seen = POOLED_VAR.get()
+        POOLED_VAR.set(index)
+        return threading.get_ident(), seen
+
+    token = POOLED_VAR.set("caller")
+    try:
+        runs = fusion._pooled(item, range(12))
+        assert POOLED_VAR.get() == "caller"
+    finally:
+        POOLED_VAR.reset(token)
+    assert [seen for _, seen in runs] == ["caller"] * 12
+    per_thread = [ident for ident, _ in runs]
+    assert max(per_thread.count(ident) for ident in per_thread) >= 2  # 12 items > 3 threads
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("helpers_raise", [False, True])
+def test_pooled_raises_the_first_exception_in_item_order_and_starts_no_item_after_it(
+        monkeypatch, workers, helpers_raise):
+    # The caller's first item raises KeyboardInterrupt at once. An item on a
+    # helper waits until then, and some time longer, so each thread holds at
+    # most one item when the caller's raises; none may start another.
+    force_workers(monkeypatch, workers)
+    caller = threading.get_ident()
+    raised = threading.Event()
+    started = []
+
+    def item(index):
+        started.append((index, threading.get_ident()))
+        if threading.get_ident() == caller:
+            raised.set()
+            raise KeyboardInterrupt(index)
+        assert raised.wait(timeout=30)
+        time.sleep(0.05)
+        if helpers_raise:
+            raise ValueError(index)
+        return index
+
+    threads = threading.active_count()
+    with pytest.raises((KeyboardInterrupt, ValueError)) as info:
+        fusion._pooled(item, range(20))
+    assert threading.active_count() == threads
+    idents = [ident for _, ident in started]
+    assert len(set(idents)) == len(idents) <= workers  # one item per thread
+    assert caller in idents
+    raisers = started if helpers_raise else [run for run in started if run[1] == caller]
+    first, ran_on = min(raisers)  # the lowest item that raised
+    expected = KeyboardInterrupt if ran_on == caller else ValueError
+    assert type(info.value) is expected and info.value.args == (first,)
 
 
 @pytest.mark.parametrize("strip_pixels", [1 << 16, 64])  # one strip; 17 strips of 2 rows

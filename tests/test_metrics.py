@@ -730,6 +730,31 @@ def test_entropy_lies_in_0_to_8_bits_and_is_never_negative_zero(images):
 
 @settings(max_examples=200, deadline=None)
 @given(images=u8_rasters)
+@example(images=(np.full((5, 4), 7, np.uint8),) * 3)  # one level: entropy's -0.0 case
+@example(images=tuple(np.full((1, 1), level, np.uint8) for level in (0, 9, 255)))
+def test_evaluate_entropy_and_mim_are_the_public_functions_bits(images):
+    a, b, f = images
+    record = evaluate(a, b, f)
+    assert record.entropy_bits.hex() == entropy(f).hex()
+    assert record.mim_bits.hex() == mim(a, b, f).hex()
+
+
+def test_evaluate_builds_two_joint_counts_and_no_histogram(monkeypatch):
+    rng = np.random.default_rng(64)
+    a, b, f = rng.integers(0, 256, size=(3, 20, 9), dtype=np.uint8)
+    expected = evaluate(a, b, f)
+    built = []
+    joint_counts = metrics.joint_counts
+    monkeypatch.setattr(metrics, "joint_counts",
+                        lambda x, y: built.append((x, y)) or joint_counts(x, y))
+    monkeypatch.setattr(metrics, "histogram256", None)
+    assert evaluate(a, b, f) == expected
+    assert len(built) == 2 and built[0][0] is a and built[1][0] is b
+    assert built[0][1] is f and built[1][1] is f
+
+
+@settings(max_examples=200, deadline=None)
+@given(images=u8_rasters)
 def test_qabf_lies_in_0_to_1(images):
     score, degenerate = qabf(*images)
     assert 0.0 <= score <= 1.0

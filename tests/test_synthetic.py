@@ -341,6 +341,21 @@ def test_synthesize_pairs_rejects_a_side_that_is_no_integer(side, value):
         synthesize_pairs(1, 1.0, seed=1, **{side: value})
 
 
+@pytest.mark.parametrize("seed", [True, 1.5, "3"])
+def test_synthesize_pairs_rejects_a_seed_that_is_no_integer(seed):
+    # True gave seed 1's pairs, and 1.5 or "3" raised numpy's TypeError.
+    with pytest.raises(ValueError, match=f"^seed must be an integer, got {seed!r}$"):
+        synthesize_pairs(1, 1.0, seed=seed, height=8, width=8)
+
+
+def test_synthesize_pairs_gives_the_same_bytes_for_an_int_and_a_numpy_seed():
+    expected = synthesize_pairs(3, 1.5, seed=7, height=16, width=16)
+    got = synthesize_pairs(3, 1.5, seed=np.int64(7), height=16, width=16)
+    for (id_e, e), (id_g, g) in zip(expected, got, strict=True):
+        assert id_e == id_g and e.seam == g.seam
+        assert e.a.tobytes() == g.a.tobytes() and e.b.tobytes() == g.b.tobytes()
+
+
 def test_synthetic_arguments_accept_numpy_numbers():
     expected = synthesize_pairs(2, 1.5, seed=3, height=16, width=16)
     got = synthesize_pairs(np.int64(2), np.float64(1.5), seed=3,
