@@ -170,38 +170,26 @@ def _pooled(fn, items) -> list:
 
 
 def _run_strips(height: int, width: int, fn, dtypes) -> tuple:
-    """Call fn(top, bottom) once per row strip of a raster and return the
-    outputs full-size, one array per entry of `dtypes`.
+    """Allocate one C-contiguous full-size output per entry of `dtypes`,
+    call fn(top, bottom, *rows) once per row strip, where `rows` holds each
+    output's rows [top, bottom), and return the outputs.
 
-    `fn` returns rows [top, bottom) of each output and writes into nothing
-    shared; a block may be a strided view, such as the first `width`
-    columns of a wider buffer. A stencil reads the rows around its strip
-    through `padded_rows`, which repeats the edge row where they leave the
-    raster, so it gives the same bits strip by strip as on the full raster.
-
-    A raster that fits one strip gets `fn`'s own arrays, allocated after the
-    kernel's temporaries: allocated first, they made a 256^2 `run_pair`
-    slower, through more page faults as the C heap grew. A block that is not
-    C-contiguous is copied, so every output is. Otherwise the outputs are
-    allocated before any strip runs, strips of about `_STRIP_PIXELS` pixels
-    run through `_pooled`, and each copies its rows in. Called from an item
-    of another `_pooled` call, such as a pair of `run_batch`, the strips
-    run inline on that item's thread.
+    `fn` writes every pixel of its rows and nothing else that is shared. A
+    stencil reads the rows around its strip through `padded_rows`, which
+    repeats the edge row where they leave the raster, so it gives the same
+    bits strip by strip as on the full raster. Strips of about
+    `_STRIP_PIXELS` pixels run through `_pooled`; called from an item of
+    another `_pooled` call, such as a pair of `run_batch`, they run inline
+    on that item's thread.
     """
+    outputs = tuple(np.empty((height, width), dtype) for dtype in dtypes)
     rows = max(1, _STRIP_PIXELS // width)
 
     def strip(top):
-        return fn(top, min(top + rows, height))
+        bottom = min(top + rows, height)
+        fn(top, bottom, *(out[top:bottom] for out in outputs))
 
-    if height <= rows:
-        return tuple(np.ascontiguousarray(out) for out in strip(0))
-    outputs = tuple(np.empty((height, width), dtype) for dtype in dtypes)
-
-    def run(top):
-        for out, block in zip(outputs, strip(top), strict=True):
-            out[top:top + rows] = block
-
-    _pooled(run, range(0, height, rows))
+    _pooled(strip, range(0, height, rows))
     return outputs
 
 
@@ -297,7 +285,7 @@ class MomentFuser(Fuser):
         # flat slice; columns past `width` are scratch.
         stride = width + 2 * max(1, reach)
 
-        def fuse_strip(top, bottom):
+        def fuse_strip(top, bottom, fused_u8, fused_f, decision, moments_a, moments_b):
             # The mask filters rows [f0, f1): the strip's own rows and the
             # image rows the moment window reads around them. It reads one
             # more source row on each side, and the moment window reads the
@@ -306,6 +294,7 @@ class MomentFuser(Fuser):
             f0, f1 = max(0, top - reach), min(height, bottom + reach)
             moment_top = reach - (top - f0)
             moment_rows = np.empty((bottom - top + 2 * reach, stride))
+            moment = np.empty((bottom - top, stride))
             term = np.empty((f1 - f0) * stride)  # one product buffer for every pass
             # filtered[r, c] goes to moment_rows[moment_top + r, reach + c]:
             # one flat copy at a fixed offset, through the last kept pixel.
@@ -315,7 +304,7 @@ class MomentFuser(Fuser):
             count = (f1 - f0 - 1) * stride + width
             inner = moment_rows.reshape(-1)[offset:offset + count]
 
-            def moments(src):
+            def moments(src, out):
                 source_rows = padded_rows(src, f0 - 1, f1 + 1, 1, stride)
                 filtered = accumulate(source_rows, mask.coeffs, np.empty((f1 - f0, stride)), term)
                 filtered *= mask.scale
@@ -324,20 +313,18 @@ class MomentFuser(Fuser):
                 else:
                     inner[...] = filtered.reshape(-1)[:count]
                 pad_edges(moment_rows, moment_top, reach, f1 - f0, width)
-                moment = accumulate(moment_rows, weights, np.empty((bottom - top, stride)), term)
-                return filtered[top - f0:bottom - f0, :width], moment
+                np.copyto(out, accumulate(moment_rows, weights, moment, term)[:, :width])
+                return filtered[top - f0:bottom - f0, :width]
 
-            fa, ma = moments(a)
-            fb, mb = moments(b)
-            # One flat compare: the scratch columns hold finite sums.
-            select_a = (ma >= mb)[:, :width]
+            fa = moments(a, moments_a)
+            fb = moments(b, moments_b)
+            np.greater_equal(moments_a, moments_b, out=decision)
             if self.source == "filtered":
-                fused_f = np.where(select_a, fa, fb)
-                fused_u8 = round_u8(fused_f)
+                fused_f[...] = np.where(decision, fa, fb)
+                round_u8(fused_f, fused_u8)
             else:  # a widened uint8 sample rounds back to itself
-                fused_u8 = np.where(select_a, a[top:bottom], b[top:bottom])
-                fused_f = fused_u8.astype(np.float64)
-            return fused_u8, fused_f, select_a, ma[:, :width], mb[:, :width]
+                fused_u8[...] = np.where(decision, a[top:bottom], b[top:bottom])
+                fused_f[...] = fused_u8
 
         fused_u8, fused_f, decision, ma, mb = _run_strips(
             height, width, fuse_strip, (np.uint8, np.float64, bool, np.float64, np.float64))
@@ -348,15 +335,12 @@ class MomentFuser(Fuser):
 def _blend(a: np.ndarray, b: np.ndarray, wa: float, wb: float) -> tuple:
     """(fused_u8, fused_f) of the blend wa * a + wb * b of a checked uint8
     pair, one row strip at a time."""
-    def blend_strip(top, bottom):
+    def blend_strip(top, bottom, fused_u8, fused_f):
         # uint8 samples widen exactly, so these are the bits of the
         # full-raster expression wa * widen(a) + wb * widen(b).
-        fused_f = a[top:bottom].astype(np.float64)
-        fused_f *= wa
-        term = b[top:bottom].astype(np.float64)
-        term *= wb
-        fused_f += term
-        return round_u8(fused_f), fused_f
+        np.multiply(a[top:bottom], wa, out=fused_f, dtype=np.float64)
+        fused_f += np.multiply(b[top:bottom], wb, dtype=np.float64)
+        round_u8(fused_f, fused_u8)
 
     return _run_strips(*a.shape, blend_strip, (np.uint8, np.float64))
 

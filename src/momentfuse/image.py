@@ -147,12 +147,18 @@ def quantize(img: np.ndarray) -> np.ndarray:
 
     Raises ValueError if any sample is NaN or infinite.
     """
-    return round_u8(check_image_float(img))
+    arr = check_image_float(img)
+    return round_u8(arr, np.empty(arr.shape, np.uint8))
 
 
-def round_u8(arr: np.ndarray) -> np.ndarray:
-    """`quantize` without the checks: `arr` must be a finite float64 raster."""
+def round_u8(arr: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """`quantize` without the checks, into `out`, a uint8 array of `arr`'s
+    shape, which it returns: `arr` must be a finite float64 raster."""
     clipped = np.clip(arr, 0.0, 255.0)
     # After clipping all values are >= 0, so half away from zero == floor(x + 0.5).
     clipped += 0.5
-    return np.floor(clipped, out=clipped).astype(np.uint8)
+    np.floor(clipped, out=clipped)
+    # An exact cast of integers in [0, 255]; a floor straight into the uint8
+    # `out` casts through ufunc buffers and is slower.
+    out[...] = clipped
+    return out

@@ -96,9 +96,10 @@ def sobel_edges(img: np.ndarray) -> EdgeMap:
                                 (np.float64, np.float64)))
 
 
-def _sobel(img: np.ndarray, top: int, bottom: int) -> tuple:
-    """Rows [top, bottom) of `sobel_edges` of a uint8 raster, as (strength,
-    orientation), without the checks."""
+def _sobel(img: np.ndarray, top: int, bottom: int, strength: np.ndarray,
+           orientation: np.ndarray) -> None:
+    """Write rows [top, bottom) of `sobel_edges` of a uint8 raster into
+    `strength` and `orientation`, without the checks."""
     # On uint8 samples every partial sum is an integer in [-1020, 1020], so the
     # int16 derivatives equal the 3x3 float stencil bit for bit.
     padded = padded_rows(img, top - 1, bottom + 1, 1, dtype=np.int16)
@@ -106,29 +107,25 @@ def _sobel(img: np.ndarray, top: int, bottom: int) -> tuple:
     sx = down[:, 2:] - down[:, :-2]
     across = padded[:, :-2] + 2 * padded[:, 1:-1] + padded[:, 2:]  # and across the columns
     sy = across[2:] - across[:-2]
-    # Freed before the float64 outputs are allocated, so those reuse the
-    # memory: kept live, they made a 256² strip ~10% slower (2-core Xeon).
-    del padded, down, across
-    return _strength(sx, sy), _orientation(sx, sy)
+    del padded, down, across  # freed before `_strength`'s int32 temporaries
+    _strength(sx, sy, strength)
+    _orientation(sx, sy, orientation)
 
 
-def _strength(sx: np.ndarray, sy: np.ndarray) -> np.ndarray:
-    """np.hypot of int16 derivatives in [-1020, 1020], in float64, bit for bit.
+def _strength(sx: np.ndarray, sy: np.ndarray, out: np.ndarray) -> None:
+    """Write np.hypot of int16 derivatives in [-1020, 1020] into the float64
+    array `out`, bit for bit.
 
     The sum of squares is exact in int32 (at most 2 * 1020**2), and np.sqrt
     of it equals np.hypot except at a few sums, by one ulp. Only pixels whose
     sum falls in a group the suspect table marks take np.hypot of their own
     derivatives.
     """
-    # The output comes first, so the int32 temporaries are freed above it
-    # rather than leaving a hole below it: a lower peak heap in `run_batch`.
-    strength = np.empty(sx.shape)
     squares = np.square(sx, dtype=np.int32)
     squares += np.square(sy, dtype=np.int32)
-    np.sqrt(squares, out=strength)
+    np.sqrt(squares, out=out)
     suspect = np.flatnonzero(_suspects().take(np.right_shift(squares, 3, out=squares)))
-    np.put(strength, suspect, np.hypot(sx.take(suspect), sy.take(suspect), dtype=np.float64))
-    return strength
+    np.put(out, suspect, np.hypot(sx.take(suspect), sy.take(suspect), dtype=np.float64))
 
 
 _DERIVATIVE_MAX = 1020  # the largest |sx| or |sy| of a uint8 raster
@@ -175,9 +172,9 @@ def _build_suspects() -> np.ndarray:
     return table
 
 
-def _orientation(sx: np.ndarray, sy: np.ndarray) -> np.ndarray:
-    """arctan(sy / sx), and pi/2 wherever sx == 0, of integer derivatives in
-    [-1020, 1020] (int16, or their float64 values), in float64.
+def _orientation(sx: np.ndarray, sy: np.ndarray, out: np.ndarray) -> None:
+    """Write into `out` arctan(sy / sx), and pi/2 wherever sx == 0, of
+    integer derivatives in [-1020, 1020] (int16, or their float64 values).
 
     Where sx == 0 the numerator is sy + 2048 > 0, so the ratio is +inf, whose
     arctan is exactly pi/2; elsewhere it is sy. No masked pass is needed, and
@@ -187,8 +184,8 @@ def _orientation(sx: np.ndarray, sy: np.ndarray) -> np.ndarray:
     """
     numerator = np.add(sy, (sx == 0) * np.int16(2048))
     with np.errstate(divide="ignore"):
-        ratio = np.divide(numerator, sx, dtype=np.float64)
-    return np.arctan(ratio, out=ratio)
+        np.divide(numerator, sx, out=out, dtype=np.float64)
+    np.arctan(out, out=out)
 
 
 # The largest weight_exponent. A Sobel strength of a uint8 raster is 0 or in
@@ -242,9 +239,10 @@ def _sigmoid_in_place(x: np.ndarray, gamma: float, kappa: float, sigma: float) -
 
 
 def _kept(src_a: tuple, src_b: tuple, gf: np.ndarray, of: np.ndarray,
-          k: QabfConstants) -> np.ndarray:
-    """weight_a * Q_a + weight_b * Q_b per pixel, from rows of both sources,
-    each as (strength, orientation, weight), and the fused edge rows gf, of.
+          k: QabfConstants, out: np.ndarray) -> None:
+    """Write weight_a * Q_a + weight_b * Q_b per pixel into `out`, from rows
+    of both sources, each as (strength, orientation, weight), and the fused
+    edge rows gf, of.
 
     Q_s, the edge preservation of source s, runs the steps of the expression
 
@@ -255,16 +253,16 @@ def _kept(src_a: tuple, src_b: tuple, gf: np.ndarray, of: np.ndarray,
         Q_s = where(gs > 0, qg * qa, 0)
 
     in place, in the same order, so every bit of the result is the
-    expression's. Both sources run in three buffers: gmax, which then holds
-    qa; folded, for pi - diff; and kept, the first score and the result.
-    The second score goes into gf after its last read, its np.minimum. The
-    clip is left out, since it never changes a value: orientations lie in
+    expression's. Both sources run in gmax, which then holds qa; folded,
+    for pi - diff; and out, the first score and the result. The second
+    score goes into gf after its last read, its np.minimum. The clip is
+    left out, since it never changes a value: orientations lie in
     [-pi/2, pi/2], so diff lies in [0, pi], and where diff >= pi/2,
     pi - diff is exact (Sterbenz), so the folded difference lies in
     [0, pi/2].
     """
-    gmax, kept, folded = (np.empty_like(gf) for _ in range(3))
-    for (gs, os, weight), score in ((src_a, kept), (src_b, gf)):
+    gmax, folded = np.empty_like(gf), np.empty_like(gf)
+    for (gs, os, weight), score in ((src_a, out), (src_b, gf)):
         np.maximum(gs, gf, out=gmax)
         np.minimum(gs, gf, out=score)
         # 0 / 0 leaves NaN where gmax == 0. Strengths are >= 0, so gs == 0
@@ -287,7 +285,7 @@ def _kept(src_a: tuple, src_b: tuple, gf: np.ndarray, of: np.ndarray,
         # finite and >= 0, so gs == 0 is the complement of gs > 0.
         np.copyto(score, 0.0, where=gs == 0.0)
         np.multiply(score, weight, out=score)
-    return np.add(kept, gf, out=kept)
+    np.add(out, gf, out=out)
 
 
 # The pair being scored, as (a, b, {weight_exponent: terms}). Set only inside
@@ -342,13 +340,15 @@ def qabf(a: np.ndarray, b: np.ndarray, f: np.ndarray,
     if total == 0.0:
         return 0.0, True
     # The fused raster's edges exist one row strip at a time. The per-pixel
-    # scores are stitched into one full-size buffer that is summed at once: a
-    # sum per strip would add in another order and change the last bit.
-    def score_rows(top, bottom):
+    # scores go into one full-size buffer that is summed at once: a sum per
+    # strip would add in another order and change the last bit.
+    def score_rows(top, bottom, kept):
         rows = slice(top, bottom)
-        return (_kept((edges_a.strength[rows], edges_a.orientation[rows], weight_a[rows]),
-                      (edges_b.strength[rows], edges_b.orientation[rows], weight_b[rows]),
-                      *_sobel(f, top, bottom), k),)
+        gf, of = np.empty(kept.shape), np.empty(kept.shape)
+        _sobel(f, top, bottom, gf, of)
+        _kept((edges_a.strength[rows], edges_a.orientation[rows], weight_a[rows]),
+              (edges_b.strength[rows], edges_b.orientation[rows], weight_b[rows]),
+              gf, of, k, kept)
 
     kept, = _run_strips(*f.shape, score_rows, (np.float64,))
     return float(np.sum(kept) / total), False

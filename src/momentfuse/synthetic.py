@@ -62,7 +62,7 @@ def gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
     height, width = img.shape
     stride = width + 2 * radius
 
-    def blur_strip(top, bottom):
+    def blur_strip(top, bottom, out):
         rows = bottom - top
         term = np.empty((rows, stride))  # one product buffer for both passes
         # The edge columns are repeated too, so the vertical taps give the
@@ -75,7 +75,7 @@ def gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
         blurred = accumulate(vertical, kernel[None, :], padded[:rows], term)[:, :width]
         # A blur of uint8 samples is finite, so rounding skips quantize's
         # scan.
-        return (round_u8(blurred),)
+        round_u8(blurred, out)
 
     return _run_strips(height, width, blur_strip, (np.uint8,))[0]
 
@@ -137,8 +137,11 @@ def random_texture(height: int, width: int, rng: np.random.Generator) -> np.ndar
     boundaries. Tile sides (8 to 16 pixels) and levels (90 to 190) are drawn
     from rng: each side and level is the value `rng.integers(8, 17)` and
     `rng.uniform(90.0, 190.0)` would return, from the same bits, and rng is
-    left in the same state.
+    left in the same state. A side that is no integer >= 1 raises ValueError.
     """
+    for name, side in (("height", height), ("width", width)):
+        if check_int(side, name) < 1:
+            raise ValueError(f"{name} must be >= 1, got {side}")
     # The bit generator's C functions skip the Generator methods' per-call
     # argument handling, which took most of the time per tile.
     bit_generator = rng.bit_generator
@@ -159,7 +162,8 @@ def random_texture(height: int, width: int, rng: np.random.Generator) -> np.ndar
                 col += tile_w
             # One band of tiles: each level rounds once, then repeats across
             # its tile's columns and down the band's rows.
-            img[row:row + tile_h] = np.repeat(round_u8(np.array(levels)), widths)[:width]
+            band = round_u8(np.array(levels), np.empty(len(levels), np.uint8))
+            img[row:row + tile_h] = np.repeat(band, widths)[:width]
             row += tile_h
     img[::3, ::3] = 15
     return img
@@ -182,9 +186,7 @@ def synthesize_pairs(n_pairs: int, sigma: float, seed: int,
     if base is not None:
         base = check_image_u8(base, "base image")
         height, width = base.shape
-    if check_int(height, "height") < 1:
-        raise ValueError(f"height must be >= 1, got {height}")
-    if check_int(width, "width") < 2:
+    if check_int(width, "width") < 2:  # `random_texture` checks the height
         raise ValueError(f"width must be >= 2 to hold a seam, got {width}")
     rng = np.random.default_rng(check_int(seed, "seed"))
     digits = max(3, len(str(n_pairs - 1)))

@@ -41,8 +41,13 @@ def check_image_u8(img, name: str = "image") -> np.ndarray:
 
 
 def check_image_float(img, name: str = "image") -> np.ndarray:
-    """Validate a floating-point raster: 2-D, nonempty, all samples finite."""
-    arr = _check_2d(np.asarray(img, dtype=np.float64), name)
+    """Validate a floating-point raster: 2-D, nonempty, all samples finite,
+    of an integer or float dtype, not one that a cast would turn into
+    numbers, such as bool, complex or text; return it as float64."""
+    arr = np.asarray(img)
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be an integer or float array, got dtype={arr.dtype}")
+    arr = _check_2d(arr.astype(np.float64, copy=False), name)
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite samples")
     return arr

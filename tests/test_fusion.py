@@ -598,19 +598,22 @@ def test_fuse_validates_once_at_its_boundary(monkeypatch, source):
 
 
 @pytest.mark.parametrize("workers", [1, 3])
-def test_run_strips_gives_one_strip_its_own_arrays(monkeypatch, workers):
+def test_run_strips_gives_one_strip_fresh_contiguous_outputs(monkeypatch, workers):
     monkeypatch.setattr(fusion, "_STRIP_PIXELS", 64)
     monkeypatch.setattr(fusion, "_worker_count", lambda tasks: min(tasks, workers))
-    made = []
+    calls = []
 
-    def fn(top, bottom):
-        assert (top, bottom) == (0, 8)
-        made.append((np.ones((8, 8), bool), np.arange(64.0).reshape(8, 8)))
-        return made[-1]
+    def fn(top, bottom, flags, values):
+        calls.append((top, bottom, flags, values))
+        flags[...] = True
+        values[...] = np.arange(64.0).reshape(8, 8)
 
     outputs = fusion._run_strips(8, 8, fn, (bool, np.float64))
-    assert len(made) == 1 and len(outputs) == 2
-    assert all(out is block for out, block in zip(outputs, made[0]))
+    assert len(calls) == 1 and calls[0][:2] == (0, 8) and len(outputs) == 2
+    for out, rows, dtype in zip(outputs, calls[0][2:], (bool, np.float64)):
+        assert out.shape == (8, 8) and out.dtype == dtype and out.flags.c_contiguous
+        assert out.flags.owndata and np.shares_memory(out, rows)
+    assert outputs[0].all() and np.array_equal(outputs[1], np.arange(64.0).reshape(8, 8))
 
 
 @pytest.mark.parametrize("workers", [1, 3])
@@ -620,10 +623,12 @@ def test_run_strips_stitches_every_row_from_one_strip(monkeypatch, workers):
     height, width = 37, 8
     strips = []
 
-    def fn(top, bottom):
+    def fn(top, bottom, even, tops, scaled):
         strips.append((top, bottom))
         rows = np.arange(top, bottom)[:, None].repeat(width, axis=1)
-        return rows % 2 == 0, np.full(rows.shape, top, np.uint8), rows * 1.5
+        even[...] = rows % 2 == 0
+        tops[...] = top
+        scaled[...] = rows * 1.5
 
     threads = threading.active_count()
     even, tops, scaled = fusion._run_strips(height, width, fn, (bool, np.uint8, np.float64))
@@ -643,8 +648,8 @@ def test_run_strips_runs_every_strip_under_the_callers_errstate(monkeypatch, wor
     monkeypatch.setattr(fusion, "_STRIP_PIXELS", 40)  # 8 strips
     monkeypatch.setattr(fusion, "_worker_count", lambda tasks: min(tasks, workers))
 
-    def fn(top, bottom):
-        return (np.full((bottom - top, 8), np.geterr()["under"] == "raise"),)
+    def fn(top, bottom, raised):
+        raised[...] = np.geterr()["under"] == "raise"
 
     with np.errstate(under="raise"):  # numpy's default ignores underflow
         raised, = fusion._run_strips(37, 8, fn, (bool,))
@@ -656,10 +661,10 @@ def test_run_strips_propagates_a_strip_exception(monkeypatch, workers):
     monkeypatch.setattr(fusion, "_STRIP_PIXELS", 40)
     monkeypatch.setattr(fusion, "_worker_count", lambda tasks: min(tasks, workers))
 
-    def fn(top, bottom):
+    def fn(top, bottom, out):
         if top == 15:
             raise RuntimeError("strip at row 15 failed")
-        return (np.zeros((bottom - top, 8)),)
+        out[...] = 0.0
 
     threads = threading.active_count()
     with pytest.raises(RuntimeError, match="strip at row 15 failed"):

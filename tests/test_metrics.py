@@ -274,7 +274,8 @@ def test_sobel_of_a_strip_with_halo_equals_the_full_raster_rows(img, data):
     h = img.shape[0]
     top = data.draw(st.integers(0, h - 1))
     bottom = data.draw(st.integers(top + 1, h))
-    strength, orientation = metrics._sobel(img, top, bottom)
+    strength, orientation = np.empty((2, bottom - top, img.shape[1]))
+    metrics._sobel(img, top, bottom, strength, orientation)
     full = sobel_edges(img)
     assert np.array_equal(strength, full.strength[top:bottom])
     assert np.array_equal(orientation, full.orientation[top:bottom])
@@ -289,7 +290,9 @@ def test_orientation_equals_masked_form_on_every_derivative_pair():
     for block in np.array_split(values, 8):
         sx = block[:, None]
         expected = np.where(sx == 0, math.pi / 2, np.arctan(sy / np.where(sx == 0, 1.0, sx)))
-        assert np.array_equal(metrics._orientation(sx, sy), expected)
+        orientation = np.empty(expected.shape)
+        metrics._orientation(sx, sy, orientation)
+        assert np.array_equal(orientation, expected)
 
 
 def test_orientation_lies_in_closed_half_pi_range_on_every_derivative_pair():
@@ -297,7 +300,8 @@ def test_orientation_lies_in_closed_half_pi_range_on_every_derivative_pair():
     # holds only while every orientation lies in [-pi/2, pi/2].
     values = np.arange(-1020.0, 1021.0)
     for block in np.array_split(values, 8):
-        orientation = metrics._orientation(block[:, None], values[None, :])
+        orientation = np.empty((len(block), len(values)))
+        metrics._orientation(block[:, None], values[None, :], orientation)
         assert orientation.min() >= -math.pi / 2
         assert orientation.max() <= math.pi / 2
 
@@ -310,7 +314,8 @@ def test_strength_equals_hypot_on_every_derivative_pair():
     for block in np.array_split(values, 8):
         sx, sy = np.broadcast_arrays(block[:, None], values[None, :])
         expected = np.hypot(sx.astype(np.float64), sy.astype(np.float64))
-        strength = metrics._strength(sx, sy)
+        strength = np.empty(sx.shape)
+        metrics._strength(sx, sy, strength)
         assert strength.dtype == np.float64
         assert strength.tobytes() == expected.tobytes()
 
@@ -322,7 +327,8 @@ def test_orientation_of_int16_derivatives_equals_the_float_expression_on_every_p
         fx, fy = sx.astype(np.float64), sy.astype(np.float64)
         with np.errstate(divide="ignore"):
             expected = np.arctan(np.where(fx != 0.0, fy, 1.0) / fx)
-        orientation = metrics._orientation(sx, sy)
+        orientation = np.empty(expected.shape)
+        metrics._orientation(sx, sy, orientation)
         assert orientation.dtype == np.float64
         assert orientation.tobytes() == expected.tobytes()
 
@@ -333,9 +339,9 @@ def test_sobel_keeps_its_derivatives_int16(monkeypatch):
     seen = []
 
     def capture(fn):
-        def wrapper(sx, sy):
+        def wrapper(sx, sy, out):
             seen.append((fn.__name__, sx, sy))
-            return fn(sx, sy)
+            fn(sx, sy, out)
         return wrapper
 
     monkeypatch.setattr(metrics, "_strength", capture(metrics._strength))
@@ -346,7 +352,7 @@ def test_sobel_keeps_its_derivatives_int16(monkeypatch):
     rasters += [np.where(rng.random(shape) < 0.5, 0, 255).astype(np.uint8) for shape in shapes]
     for img in rasters:
         seen.clear()
-        metrics._sobel(img, 0, img.shape[0])
+        metrics._sobel(img, 0, img.shape[0], *np.empty((2, *img.shape)))
         expected_sx, expected_sy = naive_sobel(img)
         assert sorted(name for name, _, _ in seen) == ["_orientation", "_strength"]
         for _, sx, sy in seen:
@@ -552,9 +558,10 @@ def assert_kept_equals_expression_form(edges_a, edges_b, edges_f, k, exponent):
     weight_a, weight_b = edges_a.strength ** exponent, edges_b.strength ** exponent
     expected = expression_kept(edges_a, edges_b, edges_f, weight_a, weight_b, k)
     # `_kept` writes into the fused strength, so it gets a copy.
-    kept = _kept((edges_a.strength, edges_a.orientation, weight_a),
-                 (edges_b.strength, edges_b.orientation, weight_b),
-                 edges_f.strength.copy(), edges_f.orientation, k)
+    kept = np.empty(expected.shape)
+    _kept((edges_a.strength, edges_a.orientation, weight_a),
+          (edges_b.strength, edges_b.orientation, weight_b),
+          edges_f.strength.copy(), edges_f.orientation, k, kept)
     assert np.array_equal(kept, expected)
 
 

@@ -278,6 +278,23 @@ def test_random_texture_is_full_card():
     assert card.max() > 80  # bright tiles present
 
 
+@pytest.mark.parametrize("side, value, message", [
+    # 0 gave an empty card; 2.5 and True raised numpy's TypeError.
+    ("height", 0, "height must be >= 1, got 0"),
+    ("width", 0, "width must be >= 1, got 0"),
+    ("height", -2, "height must be >= 1, got -2"),
+    ("height", 2.5, "height must be an integer, got 2.5"),
+    ("width", True, "width must be an integer, got True"),
+])
+def test_random_texture_rejects_a_side_that_is_no_positive_integer(side, value, message):
+    rng = np.random.default_rng(9)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError) as info:
+        random_texture(**{"height": 8, "width": 8, side: value}, rng=rng)
+    assert str(info.value) == message
+    assert rng.bit_generator.state == state  # no draw before the check
+
+
 def test_synthesize_pairs_deterministic_per_seed():
     first = synthesize_pairs(3, 1.5, seed=11, height=32, width=32)
     second = synthesize_pairs(3, 1.5, seed=11, height=32, width=32)

@@ -63,6 +63,13 @@ BAD_FLOAT = {
     "no rows": (np.zeros((0, 5)), "{} has a zero dimension: (0, 5)"),
     "no columns": (np.zeros((4, 0)), "{} has a zero dimension: (4, 0)"),
     "nan": (np.full((4, 5), np.nan), "{} contains non-finite samples"),
+    # Each of these would cast to float64: to 0/1, without the imaginary
+    # part, or parsed from text.
+    "bool": (np.ones((4, 5), bool), "{} must be an integer or float array, got dtype=bool"),
+    "complex": (np.full((4, 5), 1 + 5j),
+                "{} must be an integer or float array, got dtype=complex128"),
+    "str": (np.full((4, 5), "1.5"), "{} must be an integer or float array, got dtype=<U3"),
+    "bytes": (np.full((4, 5), b"2"), "{} must be an integer or float array, got dtype=|S1"),
 }
 
 
