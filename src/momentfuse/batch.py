@@ -17,7 +17,8 @@ from typing import Optional
 import numpy as np
 
 from .fusion import FUSION_METHODS, FusionResult, _pooled, make_fuser
-from .metrics import MetricsRecord, QabfConstants, _shared_source_terms, evaluate
+from .metrics import (MetricsRecord, QabfConstants, _check_constants, _shared_source_terms,
+                      evaluate)
 from .pgm import PgmError, read_pgm
 from .validation import ShapeMismatchError, check_pair, check_same_shape
 
@@ -145,7 +146,8 @@ def run_pair(a: np.ndarray, b: np.ndarray, methods=FUSION_METHODS,
     """Fuse one loaded pair with each requested method and evaluate it.
 
     Methods run in sorted order; unknown method names, an empty collection
-    of them or a bare string in its place raise ValueError.
+    of them or a bare string in its place raise ValueError, and so does a
+    `constants` that is neither None nor a QabfConstants, before any fuse.
     Extra keyword arguments are forwarded to the fusers that accept them.
     The pair is checked once, and every fuser and evaluation gets the
     checked arrays. Every method is fused before any is scored, so the
@@ -155,6 +157,7 @@ def run_pair(a: np.ndarray, b: np.ndarray, methods=FUSION_METHODS,
     and every outcome's `result` is None.
     """
     a, b = check_pair(a, b)
+    constants = _check_constants(constants)
 
     def fuse(method):
         result = make_fuser(method, **fuser_params).fuse(a, b)
@@ -176,9 +179,9 @@ def run_batch(pairs: list[PairSpec], methods=FUSION_METHODS,
     evaluation raises is reported there as "<Type>: <message>" and leaves no
     row. KeyboardInterrupt still stops the run. Raises EmptyBatchError,
     carrying the skipped list, when no pair at all produces a result. An
-    unknown method, an empty `methods`, a bare string for it or a bad fuser
-    parameter would fail every pair alike, so it raises ValueError before
-    any pair is read.
+    unknown method, an empty `methods`, a bare string for it, a bad fuser
+    parameter or a `constants` that is not a QabfConstants would fail every
+    pair alike, so it raises ValueError before any pair is read.
 
     Each pair is decoded and scored by `run_pair` without its results, on
     the calling thread and one helper per further CPU (inline on one CPU),
@@ -187,6 +190,7 @@ def run_batch(pairs: list[PairSpec], methods=FUSION_METHODS,
     taken in pair order, so the rows, the skipped list and both report
     formats are the same bytes on any number of CPUs.
     """
+    _check_constants(constants)
     for method in _method_names(methods):
         make_fuser(method, **fuser_params)._check_params()
 

@@ -10,6 +10,7 @@ constructor arguments stored under the same names, introspectable through
 ``get_params`` / ``set_params``, and ``fuse(a, b)`` is stateless.
 """
 
+import math
 import os
 import threading
 from contextvars import ContextVar, copy_context
@@ -376,51 +377,48 @@ class PcaFuser(Fuser):
 
 
 def pca_weights(a: np.ndarray, b: np.ndarray):
-    """Blend weights (wa, wb) from the dominant eigenvector of the 2x2
-    covariance of the flattened pair, normalized to sum to 1.
+    """Blend weights (wa, wb, degenerate) of two 8-bit rasters of one shape,
+    from the principal eigenvector of their covariance scaled to sum 1.
 
-    Both sources must be 8-bit rasters of one shape. The covariance comes
-    from exact integer sums over the pair's joint level counts: each entry
-    is an exact rational, rounded to float64 once, so the weights do not
-    depend on summation order, BLAS or its thread count.
-
-    The eigenvector sign is normalized so the component sum is positive.
-    When that sum vanishes (anti-correlated or constant pair), the weights
-    are undefined; fall back to 0.5 / 0.5 and flag the result degenerate.
+    With n^2 times the covariance as exact integers [[A, B], [B, C]],
+    d = |A - C| and D = d^2 + 4B^2, that eigenvector is (d + sqrt(D), 2B),
+    swapped when C > A. Its sum is 0 exactly when A == C and B <= 0 (a
+    constant pair, or equal variances anti-correlated or uncorrelated: no
+    direction is principal), which gives (0.5, 0.5, True). Else each weight
+    is rounded once from its own exact ratio, so wa + wb may miss 1 by an
+    ulp and a source swap swaps the weights bit for bit: k doubles until
+    both ends of [r, r + 1], r = isqrt(D << 2k), round alike. The ratio is
+    monotonic on that bracket of sqrt(D) 2^k, exact if D is a square, and
+    else constant or irrational: never a rounding boundary, so the loop ends.
     """
     a, b = check_pair(a, b)
-    cov = _covariance(a, b)
-    if not cov.any():
-        # No variance in either source: no principal direction exists.
+    A, B, C = _scatter(a, b)
+    if A == C and B <= 0:
         return 0.5, 0.5, True
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    principal = eigvecs[:, np.argmax(eigvals)]
-    total = principal.sum()
-    if abs(total) < 1e-12 * max(1.0, np.abs(principal).max()):
-        return 0.5, 0.5, True
-    if total < 0:
-        principal = -principal
-        total = -total
-    return float(principal[0] / total), float(principal[1] / total), False
+    d = abs(A - C)
+    D, q = d * d + 4 * B * B, d + 2 * B  # q + sqrt(D) >= 1: no pole near the bracket
+    k = 64
+    while True:
+        r = math.isqrt(D << 2 * k)
+        ends = [(((d << k) + s) / ((q << k) + s), (2 * B << k) / ((q << k) + s))
+                for s in (r, r + 1)]
+        if ends[0] == ends[1] or r * r == D << 2 * k:
+            major, minor = ends[0]
+            return (major, minor, False) if A >= C else (minor, major, False)
+        k *= 2
 
 
-def _covariance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """2x2 population covariance of a checked uint8 pair, each entry
-    correctly rounded from its exact rational value."""
+def _scatter(a: np.ndarray, b: np.ndarray) -> tuple[int, int, int]:
+    """n^2 times the population covariance of a checked uint8 pair of n
+    pixels, as exact integers (A, B, C) for (a, a), (a, b) and (b, b)."""
     joint = joint_counts(a, b)
     levels = np.arange(256, dtype=np.int64)
     count_a, count_b = joint.sum(axis=1), joint.sum(axis=0)
     # Integer dot products: exact, and no BLAS call. Python ints take the
     # products below, which can exceed int64 on large rasters.
-    sum_a, sum_b = int(count_a @ levels), int(count_b @ levels)
-    sum_aa, sum_bb = int(count_a @ levels ** 2), int(count_b @ levels ** 2)
-    sum_ab = int(levels @ (joint @ levels))
-    n = a.size
-    # n^2 cov = n * sum(xy) - sum(x) * sum(y); int / int rounds correctly.
-    aa = (n * sum_aa - sum_a * sum_a) / (n * n)
-    ab = (n * sum_ab - sum_a * sum_b) / (n * n)
-    bb = (n * sum_bb - sum_b * sum_b) / (n * n)
-    return np.array([[aa, ab], [ab, bb]])
+    n, sa, sb = a.size, int(count_a @ levels), int(count_b @ levels)
+    return (n * int(count_a @ levels ** 2) - sa * sa, n * int(levels @ (joint @ levels)) - sa * sb,
+            n * int(count_b @ levels ** 2) - sb * sb)
 
 
 _FUSER_CLASSES = {

@@ -229,6 +229,17 @@ class QabfConstants:
                              f"got {self.weight_exponent}")
 
 
+def _check_constants(constants) -> QabfConstants:
+    """QabfConstants() for None, a QabfConstants as it is; raise ValueError
+    naming the type of anything else, which would fail late on a field."""
+    if constants is None:
+        return QabfConstants()
+    if not isinstance(constants, QabfConstants):
+        raise ValueError(f"constants must be a QabfConstants or None, "
+                         f"got {type(constants).__name__}")
+    return constants
+
+
 def _sigmoid_in_place(x: np.ndarray, gamma: float, kappa: float, sigma: float) -> np.ndarray:
     """x := gamma / (1 + exp(kappa * (x - sigma))), one ufunc at a time."""
     np.subtract(x, sigma, out=x)
@@ -331,8 +342,10 @@ def qabf(a: np.ndarray, b: np.ndarray, f: np.ndarray,
     equal to source edge strength raised to `weight_exponent`. Returns
     (score, degenerate); degenerate is True when both sources are
     gradient-free everywhere, which leaves the score defined as 0.
+    `constants` is None for the defaults or a QabfConstants; anything else
+    raises ValueError.
     """
-    k = constants if constants is not None else QabfConstants()
+    k = _check_constants(constants)
     a, f = check_pair(a, f, "first source", "fused image")
     b, f = check_pair(b, f, "second source", "fused image")
 

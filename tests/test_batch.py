@@ -357,6 +357,21 @@ def test_run_batch_checks_methods_and_parameters_before_reading(tmp_path, monkey
     assert reads == []
 
 
+
+@pytest.mark.parametrize("constants", ["x", {"weight_exponent": 2.0}], ids=["str", "dict"])
+def test_run_batch_rejects_constants_that_are_not_qabf_constants_before_reading(
+        tmp_path, monkeypatch, constants):
+    # They fail every pair alike: each pair used to be fused by every method,
+    # then skipped with an AttributeError, and the batch ended in EmptyBatchError.
+    write_pair_dir(tmp_path, n=2)
+    pairs, _ = discover_pairs(tmp_path)
+    reads = []
+    monkeypatch.setattr(batch, "read_pgm", lambda path: reads.append(path) or read_pgm(path))
+    message = f"^constants must be a QabfConstants or None, got {type(constants).__name__}$"
+    with pytest.raises(ValueError, match=message):
+        run_batch(pairs, constants=constants)
+    assert reads == []
+
 def fail_pca_on(monkeypatch, bad_a, exc):
     """Make `PcaFuser.fuse` raise `exc` whenever its first source is `bad_a`."""
     fuse = PcaFuser.fuse

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -138,6 +138,10 @@ def test_swap_relation_differs_only_at_ties():
         assert np.array_equal(fwd.fused_f[~ties], rev.fused_f[~ties])
 
 
+# Two orthogonal 0/255 ramps: uncorrelated sources of equal variance.
+RAMPS = (np.array([[0, 0], [255, 255]], np.uint8), np.array([[0, 255], [0, 255]], np.uint8))
+
+
 fuser_params = st.fixed_dictionaries({
     "window": st.sampled_from([1, 3, 5]),
     "p": st.integers(0, 2),
@@ -160,14 +164,19 @@ def test_self_fusion_of_original_source_returns_it_with_all_first(pair, params):
 
 @settings(max_examples=100, deadline=None)
 @given(pair=u8_pairs, params=fuser_params, source=st.sampled_from(["filtered", "original"]))
+@example(pair=RAMPS, params={"window": 3, "p": 1, "q": 1, "magnitude": True, "center": 17.9},
+         source="filtered")
 def test_swapping_sources_complements_decision_except_at_ties(pair, params, source):
     a, b = pair
     fuser = MomentFuser(source=source, **params)
     fwd, rev = fuser.fuse(a, b), fuser.fuse(b, a)
     assert fwd.moments_a.tobytes() == rev.moments_b.tobytes()
+    assert fwd.moments_b.tobytes() == rev.moments_a.tobytes()
     ties = fwd.moments_a == fwd.moments_b
     # A tie goes to the first source in both orders.
     assert np.array_equal(rev.decision, ~fwd.decision | ties)
+    assert bool(fwd.decision[ties].all())
+    assert rev.fused_f[~ties].tobytes() == fwd.fused_f[~ties].tobytes()
 
 
 @settings(max_examples=100, deadline=None)
@@ -270,7 +279,7 @@ def test_pca_identical_sources_gives_half_weights():
     rng = np.random.default_rng(44)
     img = rng.integers(0, 256, size=(8, 8), dtype=np.uint8)
     result = PcaFuser().fuse(img, img)
-    assert result.weights == pytest.approx((0.5, 0.5))
+    assert result.weights == (0.5, 0.5)
     assert not result.degenerate
     assert np.array_equal(result.fused_u8, img)
 
@@ -280,7 +289,7 @@ def test_pca_constant_second_source_puts_all_weight_on_first():
     a = rng.integers(0, 256, size=(8, 8), dtype=np.uint8)
     b = np.full((8, 8), 77, dtype=np.uint8)
     result = PcaFuser().fuse(a, b)
-    assert result.weights == pytest.approx((1.0, 0.0), abs=1e-12)
+    assert result.weights == (1.0, 0.0)
     assert np.array_equal(result.fused_u8, a)
 
 
@@ -302,8 +311,8 @@ def test_pca_symmetric_up_to_sign_normalization():
     b = rng.integers(0, 256, size=(10, 10), dtype=np.uint8)
     fwd = PcaFuser().fuse(a, b)
     rev = PcaFuser().fuse(b, a)
-    assert fwd.weights[0] == pytest.approx(rev.weights[1], abs=1e-12)
-    assert np.allclose(fwd.fused_f, rev.fused_f, atol=1e-9)
+    assert rev.weights == fwd.weights[::-1]
+    assert rev.fused_f.tobytes() == fwd.fused_f.tobytes()
 
 
 def test_pca_degenerate_constant_pair():
@@ -337,7 +346,7 @@ def exact_covariance(a, b):
 
 @pytest.mark.parametrize("kind", ["random", "constant", "one_constant", "anticorrelated",
                                   "identical", "extreme"])
-def test_covariance_is_the_correctly_rounded_exact_rational(kind):
+def test_scatter_is_n_squared_times_the_exact_covariance(kind):
     rng = np.random.default_rng(48)
     a, b = rng.integers(0, 256, size=(2, 13, 11), dtype=np.uint8)
     if kind == "constant":
@@ -351,13 +360,96 @@ def test_covariance_is_the_correctly_rounded_exact_rational(kind):
     elif kind == "extreme":
         a = np.where(a > 127, 255, 0).astype(np.uint8)
         b = np.where(b > 200, 255, 0).astype(np.uint8)
-    cov = fusion._covariance(a, b)
-    expected = [[float(x) for x in row] for row in exact_covariance(a, b)]
-    assert cov.tolist() == expected
+    scatter = fusion._scatter(a, b)
+    assert all(type(x) is int for x in scatter)
+    (aa, ab), (_, bb) = exact_covariance(a, b)
+    assert scatter == (a.size ** 2 * aa, a.size ** 2 * ab, a.size ** 2 * bb)
     if kind == "constant":
-        assert not cov.any()
+        assert scatter == (0, 0, 0)
     if kind == "anticorrelated":
-        assert cov[0, 1] == -cov[0, 0] < 0
+        assert scatter[1] == -scatter[0] == -scatter[2] < 0
+
+
+def exact_pca_weights(a, b):
+    """Independent exact oracle: the principal eigenvector (lam - vb, cab) of
+    the exact covariance [[va, cab], [cab, vb]], or the axis of the larger
+    variance when cab == 0, scaled to sum 1. Each weight is taken as a
+    Fraction at both ends of a bracket [root, root + step] of the square
+    root in lam, narrowed until both ends give one correctly rounded float;
+    degenerate where no direction is principal or the components sum to 0."""
+    (va, cab), (_, vb) = exact_covariance(a, b)
+    if cab == 0:
+        if va == vb:
+            return 0.5, 0.5, True
+        return (1.0, 0.0, False) if va > vb else (0.0, 1.0, False)
+    disc = (va - vb) ** 2 + 4 * cab ** 2  # (2 lam - va - vb)^2
+    rest = va - vb + 2 * cab  # 2 (lam - vb + cab) - sqrt(disc)
+    if rest <= 0 and rest * rest == disc:
+        return 0.5, 0.5, True
+    bits = 32
+    while True:
+        step = Fraction(1, disc.denominator << bits)
+        root = math.isqrt(disc.numerator * disc.denominator << 2 * bits) * step
+        exact = root * root == disc
+        # Each weight is monotonic in the root on either side of the pole,
+        # where the components sum to 0.
+        if exact or (rest + root) * (rest + root + step) > 0:
+            ends = {(float((va - vb + s) / (rest + s)), float(2 * cab / (rest + s)))
+                    for s in ((root,) if exact else (root, root + step))}
+            if len(ends) == 1:
+                return (*ends.pop(), False)
+        bits *= 2
+
+
+def pca_case(pair, kind):
+    """The pair, or one made from it whose covariance is of the given kind."""
+    a, b = pair
+    if kind == "anticorrelated":  # B = -A = -C
+        b = 255 - a
+    elif kind == "negative":  # B <= 0, and mostly C < A
+        b = (255 - a) // 2
+    elif kind == "one_constant":
+        b = np.full_like(a, b.flat[0])
+    elif kind == "identical":
+        b = a.copy()
+    elif kind == "uncorrelated":
+        # Both centred sources are +-(a - 127.5) with a checkerboard of signs
+        # over the four blocks: equal variances, and B = 0.
+        a, b = np.block([[a, a], [255 - a, 255 - a]]), np.block([[a, 255 - a], [a, 255 - a]])
+    return a, b
+
+
+pca_pairs = st.builds(pca_case, u8_pairs, st.sampled_from(
+    ["random", "anticorrelated", "negative", "one_constant", "identical", "uncorrelated"]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=pca_pairs)
+@example(pair=RAMPS)
+def test_pca_weights_equal_the_exact_oracle(pair):
+    assert pca_weights(*pair) == exact_pca_weights(*pair)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pair=pca_pairs)
+@example(pair=RAMPS)
+def test_swapping_sources_swaps_the_blend_weights_bit_for_bit(pair):
+    a, b = pair
+    fwd, rev = PcaFuser().fuse(a, b), PcaFuser().fuse(b, a)
+    assert (rev.weights, rev.degenerate) == (fwd.weights[::-1], fwd.degenerate)
+    assert rev.fused_f.tobytes() == fwd.fused_f.tobytes()
+    fwd, rev = AverageFuser().fuse(a, b), AverageFuser().fuse(b, a)
+    assert rev.fused_f.tobytes() == fwd.fused_f.tobytes()
+
+
+def test_pca_uncorrelated_pair_of_equal_variance_is_degenerate_in_both_orders():
+    # Every direction is principal; an eigensolver put all the weight on
+    # whichever source came first.
+    assert fusion._scatter(*RAMPS) == (4 * 255 ** 2, 0, 4 * 255 ** 2)
+    for a, b in (RAMPS, RAMPS[::-1]):
+        result = PcaFuser().fuse(a, b)
+        assert (result.weights, result.degenerate) == ((0.5, 0.5), True)
+        assert result.fused_f.tolist() == [[0.0, 127.5], [127.5, 255.0]]
 
 
 def test_pca_weights_reject_non_8_bit_sources():

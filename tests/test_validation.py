@@ -115,3 +115,17 @@ def test_pair_checks_reject_mismatched_shapes(entry, message):
     with pytest.raises(ShapeMismatchError) as info:
         entry()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("bad", ["x", {"weight_exponent": 2.0}, 1.0],
+                         ids=["str", "dict", "float"])
+@pytest.mark.parametrize("entry", [
+    lambda k: qabf(GOOD_U8, GOOD_U8, GOOD_U8, k),
+    lambda k: evaluate(GOOD_U8, GOOD_U8, GOOD_U8, k),
+    lambda k: run_pair(GOOD_U8, GOOD_U8, constants=k),
+], ids=["qabf", "evaluate", "run_pair"])
+def test_constants_that_are_not_qabf_constants_are_rejected(entry, bad):
+    # Each used to fail on its first field read, with an AttributeError.
+    with pytest.raises(ValueError) as info:
+        entry(bad)
+    assert str(info.value) == f"constants must be a QabfConstants or None, got {type(bad).__name__}"
