@@ -16,11 +16,12 @@ from typing import Optional
 
 import numpy as np
 
-from .fusion import FUSION_METHODS, FusionResult, _pooled, make_fuser
+from .fusion import FUSION_METHODS, FusionResult, make_fuser
+from .image import _pooled
 from .metrics import (MetricsRecord, QabfConstants, _check_constants, _shared_source_terms,
                       evaluate)
 from .pgm import PgmError, read_pgm
-from .validation import ShapeMismatchError, check_pair, check_same_shape
+from .validation import ShapeMismatchError, check_bool, check_pair, check_same_shape
 
 METRIC_COLUMNS = ("mim", "sd", "entropy", "qabf")
 AGGREGATE_ID = "(mean)"
@@ -147,7 +148,8 @@ def run_pair(a: np.ndarray, b: np.ndarray, methods=FUSION_METHODS,
 
     Methods run in sorted order; unknown method names, an empty collection
     of them or a bare string in its place raise ValueError, and so does a
-    `constants` that is neither None nor a QabfConstants, before any fuse.
+    `constants` that is neither None nor a QabfConstants, or a
+    `keep_results` that is not a bool, before any fuse.
     Extra keyword arguments are forwarded to the fusers that accept them.
     The pair is checked once, and every fuser and evaluation gets the
     checked arrays. Every method is fused before any is scored, so the
@@ -158,6 +160,7 @@ def run_pair(a: np.ndarray, b: np.ndarray, methods=FUSION_METHODS,
     """
     a, b = check_pair(a, b)
     constants = _check_constants(constants)
+    check_bool(keep_results, "keep_results")
 
     def fuse(method):
         result = make_fuser(method, **fuser_params).fuse(a, b)
@@ -184,7 +187,7 @@ def run_batch(pairs: list[PairSpec], methods=FUSION_METHODS,
     pair alike, so it raises ValueError before any pair is read.
 
     Each pair is decoded and scored by `run_pair` without its results, on
-    the calling thread and one helper per further CPU (inline on one CPU),
+    the calling thread and one helper per further CPU (none on one CPU),
     so at most one decoded pair per CPU is in flight; while pairs share the
     pool, each pair's strips run inline on its own thread. Outcomes are
     taken in pair order, so the rows, the skipped list and both report

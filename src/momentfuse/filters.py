@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .image import correlate
-from .validation import check_image_float, check_image_u8, check_real
+from .validation import check_image_float, check_image_u8, check_real, check_real_dtype
 
 DEFAULT_CENTER_WEIGHT = 17.9
 # The largest |center| of `high_boost_mask`, far above the 8 to 40 that
@@ -33,7 +33,8 @@ class Kernel3:
     scale: float = 1.0
 
     def __post_init__(self):
-        coeffs = np.array(self.coeffs, dtype=np.float64)
+        coeffs = check_real_dtype(np.asarray(self.coeffs), "kernel coefficients")
+        coeffs = coeffs.astype(np.float64)  # a copy, even of a float64 array
         if coeffs.shape != (3, 3):
             raise ValueError(f"kernel must be 3x3, got {coeffs.shape}")
         check_real(self.scale, "scale")
@@ -77,8 +78,11 @@ def convolve3(img: np.ndarray, kernel: Kernel3) -> np.ndarray:
     out(r, c) = scale * sum_{dr,dc in {-1,0,1}} coeffs(dr, dc) * padded(r+dr, c+dc)
 
     The mask is applied as written (correlation); output has the input's
-    shape and is not clamped, so samples may be negative or exceed 255.
+    shape and is not clamped, so samples may be negative or exceed 255. A
+    kernel that is not a Kernel3 raises ValueError.
     """
+    if not isinstance(kernel, Kernel3):
+        raise ValueError(f"kernel must be a Kernel3, got {type(kernel).__name__}")
     out = correlate(check_image_float(img), kernel.coeffs)
     out *= kernel.scale
     return out

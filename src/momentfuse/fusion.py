@@ -11,32 +11,21 @@ constructor arguments stored under the same names, introspectable through
 """
 
 import math
-import os
-import threading
-from contextvars import ContextVar, copy_context
 from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
 
 from .filters import DEFAULT_CENTER_WEIGHT, high_boost_mask
-from .image import accumulate, correlate, joint_counts, pad_edges, padded_rows, round_u8
-from .validation import check_image_float, check_int, check_pair, check_same_shape
+from .image import (_run_strips, accumulate, correlate, joint_counts, pad_edges, padded_rows,
+                    round_u8)
+from .validation import check_bool, check_image_float, check_int, check_pair, check_same_shape
 
 MAX_MOMENT_ORDER = 4  # guard against numeric blowup from huge index powers
 # The largest moment window: the largest odd side whose weights, at most
 # 97**8 < 2**53, are all exact integers in float64. It also bounds each
 # strip buffer's halo and the weight array's window**2 cells.
 MAX_WINDOW = 97
-
-# Pixels per row strip of `_run_strips`: a strip's float64 temporaries stay
-# cache-sized. At 2048^2 on a 2-core Xeon, strips of 2**14 pixels were
-# slower than the untiled fuse, because small strips contend for the GIL.
-_STRIP_PIXELS = 1 << 16
-
-# True in the context of every item that `_pooled` hands to its threads.
-_IN_POOL: ContextVar = ContextVar("in_pool", default=False)
-
 
 @dataclass
 class FusionResult:
@@ -70,7 +59,7 @@ def local_moment_map(img: np.ndarray, p: int = 1, q: int = 1, window: int = 3,
     p = q = 0 degenerates to a plain box sum.
     """
     arr = check_image_float(img)
-    _check_magnitude(magnitude)
+    check_bool(magnitude, "magnitude")
     return correlate(np.abs(arr) if magnitude else arr, _moment_weights(p, q, window))
 
 
@@ -94,104 +83,6 @@ def _moment_weights(p: int, q: int, window: int) -> np.ndarray:
         raise ValueError(f"moment orders must be in [0, {MAX_MOMENT_ORDER}], got p={p}, q={q}")
     index = np.arange(1, window + 1, dtype=np.float64)
     return np.outer(index ** p, index ** q)
-
-
-def _check_magnitude(magnitude) -> None:
-    """Raise ValueError unless magnitude is a bool: any other value would
-    pick a branch by its truth."""
-    if not isinstance(magnitude, (bool, np.bool_)):
-        raise ValueError(f"magnitude must be a bool, got {magnitude!r}")
-
-
-def _worker_count(tasks: int) -> int:
-    """Threads for `tasks` independent tasks: one per CPU this process may run on."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    return min(tasks, cpus)
-
-
-def _pooled(fn, items) -> list:
-    """[fn(item) for item in items], run by the calling thread and one
-    helper thread per further CPU this process may run on (inline on one
-    CPU, and inside an item of another `_pooled` call).
-
-    The threads take items in order from one shared queue. Each item runs
-    in its own copy of the caller's context, all made before any item
-    starts, so the caller's np.errstate and context variables hold in every
-    item as they do inline, and a variable that an item sets stays in its
-    own copy. Results come back in item order. Once an item raises, or the
-    caller is interrupted between items, no queued item starts: the items
-    already running finish, and the first exception in item order
-    propagates. The helpers are started and joined inside each call, so a
-    process forked later inherits no idle threads. A `_pooled` call made
-    from inside an item runs inline on that item's thread, so a pool of
-    pairs does not start a pool of strips per pair.
-    """
-    items = list(items)
-    contexts = [copy_context() for _ in items]
-    workers = 1 if _IN_POOL.get() else _worker_count(len(items))
-    if workers <= 1:
-        return [context.run(fn, item) for context, item in zip(contexts, items)]
-    for context in contexts:
-        context.run(_IN_POOL.set, True)
-    results, failures = [None] * len(items), {}  # failures: item index to exception
-    pending = list(reversed(range(len(items))))  # popped from the end, in item order
-    lock = threading.Lock()
-
-    def drain():
-        while True:
-            with lock:
-                if not pending:
-                    return
-                index = pending.pop()
-            try:
-                results[index] = contexts[index].run(fn, items[index])
-            except BaseException as exc:
-                with lock:
-                    failures[index] = exc
-                    pending.clear()  # no queued item starts
-                return
-
-    helpers = [threading.Thread(target=drain) for _ in range(workers - 1)]
-    try:
-        for helper in helpers:
-            helper.start()
-        drain()
-    finally:
-        with lock:  # an interrupted caller leaves no queued item to the helpers
-            pending.clear()
-        for helper in helpers:
-            if helper.ident is not None:  # it started
-                helper.join()
-    if failures:
-        raise failures[min(failures)]
-    return results
-
-
-def _run_strips(height: int, width: int, fn, dtypes) -> tuple:
-    """Allocate one C-contiguous full-size output per entry of `dtypes`,
-    call fn(top, bottom, *rows) once per row strip, where `rows` holds each
-    output's rows [top, bottom), and return the outputs.
-
-    `fn` writes every pixel of its rows and nothing else that is shared. A
-    stencil reads the rows around its strip through `padded_rows`, which
-    repeats the edge row where they leave the raster, so it gives the same
-    bits strip by strip as on the full raster. Strips of about
-    `_STRIP_PIXELS` pixels run through `_pooled`; called from an item of
-    another `_pooled` call, such as a pair of `run_batch`, they run inline
-    on that item's thread.
-    """
-    outputs = tuple(np.empty((height, width), dtype) for dtype in dtypes)
-    rows = max(1, _STRIP_PIXELS // width)
-
-    def strip(top):
-        bottom = min(top + rows, height)
-        fn(top, bottom, *(out[top:bottom] for out in outputs))
-
-    _pooled(strip, range(0, height, rows))
-    return outputs
 
 
 def decision_map(moments_a: np.ndarray, moments_b: np.ndarray) -> np.ndarray:
@@ -268,7 +159,7 @@ class MomentFuser(Fuser):
         preprocessing mask and the moment window's weights."""
         if self.source not in ("filtered", "original"):
             raise ValueError(f"source must be 'filtered' or 'original', got {self.source!r}")
-        _check_magnitude(self.magnitude)
+        check_bool(self.magnitude, "magnitude")
         return high_boost_mask(self.center), _moment_weights(self.p, self.q, self.window)
 
     def fuse(self, a, b) -> FusionResult:

@@ -15,8 +15,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .fusion import _run_strips
-from .image import joint_counts, padded_rows
+from .image import _run_strips, joint_counts, padded_rows
 from .validation import check_image_u8, check_pair, check_real
 
 

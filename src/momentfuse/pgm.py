@@ -11,7 +11,7 @@ import re
 
 import numpy as np
 
-from .validation import check_image_u8
+from .validation import check_bool, check_image_u8
 
 
 _WHITESPACE = b" \t\r\n\x0b\x0c"  # the bytes that bytes.split() splits on
@@ -97,10 +97,11 @@ def load_pgm(data: bytes) -> np.ndarray:
 
 
 def save_pgm(img: np.ndarray, binary: bool = True) -> bytes:
-    """Encode a uint8 raster as a PGM byte stream (P5 if binary, else P2)."""
+    """Encode a uint8 raster as a PGM byte stream (P5 if binary, else P2).
+    A `binary` that is not a bool raises ValueError."""
     arr = check_image_u8(img)
     height, width = arr.shape
-    if binary:
+    if check_bool(binary, "binary"):
         return b"P5\n%d %d\n255\n" % (width, height) + arr.tobytes()
     lines = [b"P2", b"%d %d" % (width, height), b"255"]
     lines.extend(b" ".join(b"%d" % v for v in row) for row in arr)

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fusion import _run_strips
-from .image import accumulate, padded_rows, round_u8
+from .image import _run_strips, accumulate, padded_rows, round_u8
 from .validation import check_image_u8, check_int, check_real
 
 
@@ -137,8 +136,11 @@ def random_texture(height: int, width: int, rng: np.random.Generator) -> np.ndar
     boundaries. Tile sides (8 to 16 pixels) and levels (90 to 190) are drawn
     from rng: each side and level is the value `rng.integers(8, 17)` and
     `rng.uniform(90.0, 190.0)` would return, from the same bits, and rng is
-    left in the same state. A side that is no integer >= 1 raises ValueError.
+    left in the same state. A side that is no integer >= 1, and an rng that
+    is not a numpy.random.Generator, raise ValueError.
     """
+    if not isinstance(rng, np.random.Generator):
+        raise ValueError(f"rng must be a numpy.random.Generator, got {type(rng).__name__}")
     for name, side in (("height", height), ("width", width)):
         if check_int(side, name) < 1:
             raise ValueError(f"{name} must be >= 1, got {side}")

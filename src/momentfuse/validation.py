@@ -42,15 +42,29 @@ def check_image_u8(img, name: str = "image") -> np.ndarray:
 
 def check_image_float(img, name: str = "image") -> np.ndarray:
     """Validate a floating-point raster: 2-D, nonempty, all samples finite,
-    of an integer or float dtype, not one that a cast would turn into
-    numbers, such as bool, complex or text; return it as float64."""
-    arr = np.asarray(img)
-    if arr.dtype.kind not in "iuf":
-        raise ValueError(f"{name} must be an integer or float array, got dtype={arr.dtype}")
+    of an integer or float dtype (`check_real_dtype`); return it as float64."""
+    arr = check_real_dtype(np.asarray(img), name)
     arr = _check_2d(arr.astype(np.float64, copy=False), name)
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite samples")
     return arr
+
+
+def check_real_dtype(arr: np.ndarray, name: str) -> np.ndarray:
+    """Return arr if its dtype is an integer or float one; raise ValueError
+    if not. A cast to float64 would turn bool, complex (less its imaginary
+    part) and text into numbers."""
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be an integer or float array, got dtype={arr.dtype}")
+    return arr
+
+
+def check_bool(value, name: str):
+    """Return value if it is a bool or numpy bool; raise ValueError if not:
+    any other value would pick a branch by its truth."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a bool, got {value!r}")
+    return value
 
 
 def check_real(value, name: str):

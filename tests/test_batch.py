@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from momentfuse import batch, fusion, metrics
+from momentfuse import batch, image, metrics
 from momentfuse.fusion import PcaFuser
 from momentfuse.batch import (
     EmptyBatchError,
@@ -407,7 +407,7 @@ def test_run_batch_lets_keyboard_interrupt_through(tmp_path, monkeypatch):
 
 
 def use_workers(monkeypatch, workers):
-    monkeypatch.setattr(fusion, "_worker_count", lambda tasks: min(tasks, workers))
+    monkeypatch.setattr(image, "_worker_count", lambda tasks: min(tasks, workers))
 
 
 def write_mixed_dir(tmp_path):
@@ -468,10 +468,10 @@ def test_a_batch_of_multi_strip_pairs_runs_its_strips_on_at_most_one_thread_per_
     # Strips of 64 pixels split each 24x24 pair into 12 strips per pooled
     # stage. The strips run on their pair's thread, so no more threads run
     # strips, or exist, than the batch pool has workers.
-    monkeypatch.setattr(fusion, "_STRIP_PIXELS", 64)
+    monkeypatch.setattr(image, "_STRIP_PIXELS", 64)
     pairs = write_mixed_dir(tmp_path)
     strips = []
-    pooled = fusion._pooled
+    pooled = image._pooled
 
     def recording(fn, items):
         def strip(item):
@@ -479,7 +479,7 @@ def test_a_batch_of_multi_strip_pairs_runs_its_strips_on_at_most_one_thread_per_
             return fn(item)
         return pooled(strip, items)
 
-    monkeypatch.setattr(fusion, "_pooled", recording)  # `_run_strips`' pool, not the batch's
+    monkeypatch.setattr(image, "_pooled", recording)  # `_run_strips`' pool, not the batch's
     emitted = []
     for workers in (1, 2, 4):
         use_workers(monkeypatch, workers)

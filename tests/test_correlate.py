@@ -146,7 +146,7 @@ def test_accumulate_rejects_an_acc_without_the_padded_row_stride():
     weights = np.ones((3, 3))
     for acc in (np.empty((3, 4)), np.empty((3, 12))[:, ::2]):
         with pytest.raises(ValueError, match="row stride"):
-            accumulate(padded, weights, acc)
+            accumulate(padded, weights, acc, np.empty(acc.size))
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (4, 6)])

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import momentfuse
-from momentfuse import filters, fusion, image
+from momentfuse import batch, filters, fusion, image, metrics, synthetic
 from momentfuse.filters import convolve3, high_boost_mask, preprocess
 from momentfuse.fusion import (
     AverageFuser,
@@ -31,7 +31,7 @@ from momentfuse.fusion import (
     pca_weights,
 )
 from momentfuse.image import quantize, widen
-from momentfuse.metrics import sobel_edges
+from momentfuse.metrics import qabf, sobel_edges
 from momentfuse.synthetic import complementary_blur_pair, gaussian_blur, random_texture
 from momentfuse.validation import ShapeMismatchError
 
@@ -490,8 +490,8 @@ def test_pca_bits_do_not_depend_on_blas_threads():
 
 @pytest.mark.parametrize("strip_pixels", [7, 64, 1 << 16])
 def test_blends_on_strips_equal_the_full_raster_expressions(monkeypatch, strip_pixels):
-    monkeypatch.setattr(fusion, "_STRIP_PIXELS", strip_pixels)
-    monkeypatch.setattr(fusion, "_worker_count", lambda tasks: min(tasks, 3))
+    monkeypatch.setattr(image, "_STRIP_PIXELS", strip_pixels)
+    monkeypatch.setattr(image, "_worker_count", lambda tasks: min(tasks, 3))
     rng = np.random.default_rng(49)
     a, b = rng.integers(0, 256, size=(2, 37, 16), dtype=np.uint8)
     average = AverageFuser().fuse(a, b)
@@ -645,7 +645,7 @@ def test_fuse_is_tiling_invariant(data, strip_pixels, window, orders, magnitude,
     with pytest.MonkeyPatch.context() as mp, np.errstate(all="raise"):
         # Raising on every floating-point flag, in every strip: the scratch
         # columns of the strips' buffers must hold finite sums too.
-        mp.setattr(fusion, "_STRIP_PIXELS", strip_pixels)
+        mp.setattr(image, "_STRIP_PIXELS", strip_pixels)
         result = fuser.fuse(a, b)
     assert_same_outputs(result, staged_fuse(fuser, a, b))
 
@@ -656,8 +656,8 @@ def test_fuse_matches_staged_on_any_worker_count(monkeypatch, workers):
     # cores and a short switch interval, a copy outside its rows would show.
     rng = np.random.default_rng(17)
     a, b = rng.integers(0, 256, size=(2, 97, 13), dtype=np.uint8)
-    monkeypatch.setattr(fusion, "_STRIP_PIXELS", 50)
-    monkeypatch.setattr(fusion, "_worker_count", lambda tasks: min(tasks, workers))
+    monkeypatch.setattr(image, "_STRIP_PIXELS", 50)
+    monkeypatch.setattr(image, "_worker_count", lambda tasks: min(tasks, workers))
     fuser = MomentFuser(window=5)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -680,7 +680,7 @@ def test_fuse_validates_once_at_its_boundary(monkeypatch, source):
     builds = []
     build = fusion._moment_weights
     monkeypatch.setattr(fusion, "_moment_weights", lambda *args: builds.append(args) or build(*args))
-    monkeypatch.setattr(fusion, "_STRIP_PIXELS", 64)  # 10 strips of 4 rows
+    monkeypatch.setattr(image, "_STRIP_PIXELS", 64)  # 10 strips of 4 rows
     rng = np.random.default_rng(29)
     a, b = rng.integers(0, 256, size=(2, 40, 16), dtype=np.uint8)
     fuser = MomentFuser(window=5, source=source)
@@ -691,8 +691,8 @@ def test_fuse_validates_once_at_its_boundary(monkeypatch, source):
 
 @pytest.mark.parametrize("workers", [1, 3])
 def test_run_strips_gives_one_strip_fresh_contiguous_outputs(monkeypatch, workers):
-    monkeypatch.setattr(fusion, "_STRIP_PIXELS", 64)
-    monkeypatch.setattr(fusion, "_worker_count", lambda tasks: min(tasks, workers))
+    monkeypatch.setattr(image, "_STRIP_PIXELS", 64)
+    monkeypatch.setattr(image, "_worker_count", lambda tasks: min(tasks, workers))
     calls = []
 
     def fn(top, bottom, flags, values):
@@ -700,7 +700,7 @@ def test_run_strips_gives_one_strip_fresh_contiguous_outputs(monkeypatch, worker
         flags[...] = True
         values[...] = np.arange(64.0).reshape(8, 8)
 
-    outputs = fusion._run_strips(8, 8, fn, (bool, np.float64))
+    outputs = image._run_strips(8, 8, fn, (bool, np.float64))
     assert len(calls) == 1 and calls[0][:2] == (0, 8) and len(outputs) == 2
     for out, rows, dtype in zip(outputs, calls[0][2:], (bool, np.float64)):
         assert out.shape == (8, 8) and out.dtype == dtype and out.flags.c_contiguous
@@ -710,8 +710,8 @@ def test_run_strips_gives_one_strip_fresh_contiguous_outputs(monkeypatch, worker
 
 @pytest.mark.parametrize("workers", [1, 3])
 def test_run_strips_stitches_every_row_from_one_strip(monkeypatch, workers):
-    monkeypatch.setattr(fusion, "_STRIP_PIXELS", 40)  # 8 strips of 5 rows, the last of 2
-    monkeypatch.setattr(fusion, "_worker_count", lambda tasks: min(tasks, workers))
+    monkeypatch.setattr(image, "_STRIP_PIXELS", 40)  # 8 strips of 5 rows, the last of 2
+    monkeypatch.setattr(image, "_worker_count", lambda tasks: min(tasks, workers))
     height, width = 37, 8
     strips = []
 
@@ -723,7 +723,7 @@ def test_run_strips_stitches_every_row_from_one_strip(monkeypatch, workers):
         scaled[...] = rows * 1.5
 
     threads = threading.active_count()
-    even, tops, scaled = fusion._run_strips(height, width, fn, (bool, np.uint8, np.float64))
+    even, tops, scaled = image._run_strips(height, width, fn, (bool, np.uint8, np.float64))
     assert threading.active_count() == threads
     assert sorted(strips) == [(top, min(top + 5, height)) for top in range(0, height, 5)]
     rows = np.arange(height)[:, None].repeat(width, axis=1)
@@ -737,21 +737,21 @@ def test_run_strips_stitches_every_row_from_one_strip(monkeypatch, workers):
 
 @pytest.mark.parametrize("workers", [1, 3])
 def test_run_strips_runs_every_strip_under_the_callers_errstate(monkeypatch, workers):
-    monkeypatch.setattr(fusion, "_STRIP_PIXELS", 40)  # 8 strips
-    monkeypatch.setattr(fusion, "_worker_count", lambda tasks: min(tasks, workers))
+    monkeypatch.setattr(image, "_STRIP_PIXELS", 40)  # 8 strips
+    monkeypatch.setattr(image, "_worker_count", lambda tasks: min(tasks, workers))
 
     def fn(top, bottom, raised):
         raised[...] = np.geterr()["under"] == "raise"
 
     with np.errstate(under="raise"):  # numpy's default ignores underflow
-        raised, = fusion._run_strips(37, 8, fn, (bool,))
+        raised, = image._run_strips(37, 8, fn, (bool,))
     assert raised.all()
 
 
 @pytest.mark.parametrize("workers", [1, 3])
 def test_run_strips_propagates_a_strip_exception(monkeypatch, workers):
-    monkeypatch.setattr(fusion, "_STRIP_PIXELS", 40)
-    monkeypatch.setattr(fusion, "_worker_count", lambda tasks: min(tasks, workers))
+    monkeypatch.setattr(image, "_STRIP_PIXELS", 40)
+    monkeypatch.setattr(image, "_worker_count", lambda tasks: min(tasks, workers))
 
     def fn(top, bottom, out):
         if top == 15:
@@ -760,20 +760,20 @@ def test_run_strips_propagates_a_strip_exception(monkeypatch, workers):
 
     threads = threading.active_count()
     with pytest.raises(RuntimeError, match="strip at row 15 failed"):
-        fusion._run_strips(37, 8, fn, (np.float64,))
+        image._run_strips(37, 8, fn, (np.float64,))
     assert threading.active_count() == threads
 
 
 def test_worker_count_follows_cpu_affinity(monkeypatch):
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    assert fusion._worker_count(1) == 1
-    assert fusion._worker_count(10**6) == cpus
+    assert image._worker_count(1) == 1
+    assert image._worker_count(10**6) == cpus
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    assert fusion._worker_count(10**6) == (os.cpu_count() or 1)
+    assert image._worker_count(10**6) == (os.cpu_count() or 1)
 
 
 def force_workers(monkeypatch, workers):
-    monkeypatch.setattr(fusion, "_worker_count", lambda tasks: min(tasks, workers))
+    monkeypatch.setattr(image, "_worker_count", lambda tasks: min(tasks, workers))
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -786,7 +786,7 @@ def test_pooled_runs_items_on_the_caller_and_at_most_workers_minus_one_helpers(m
         time.sleep(0.001)  # releases the GIL, so every thread gets items
         return index, threading.get_ident(), threading.active_count()
 
-    runs = fusion._pooled(item, range(40))
+    runs = image._pooled(item, range(40))
     assert threading.active_count() == threads
     assert [index for index, _, _ in runs] == list(range(40))
     caller = threading.get_ident()
@@ -805,14 +805,14 @@ def test_a_pooled_call_inside_an_item_runs_on_that_items_thread(monkeypatch, wor
         return threading.get_ident(), threading.active_count()
 
     def outer(index):
-        return threading.get_ident(), fusion._pooled(inner, range(6))
+        return threading.get_ident(), image._pooled(inner, range(6))
 
-    for ident, inner_runs in fusion._pooled(outer, range(5)):
+    for ident, inner_runs in image._pooled(outer, range(5)):
         assert [run_on for run_on, _ in inner_runs] == [ident] * 6
         assert all(active <= threads + workers - 1 for _, active in inner_runs)
     assert threading.active_count() == threads
     # An item that has the pool to itself may pool its own items.
-    assert fusion._pooled(lambda item: fusion._IN_POOL.get(), [0]) == [False]
+    assert image._pooled(lambda item: image._IN_POOL.get(), [0]) == [False]
 
 
 def test_pooled_runs_each_item_once_under_frequent_thread_switches(monkeypatch):
@@ -823,7 +823,7 @@ def test_pooled_runs_each_item_once_under_frequent_thread_switches(monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        results = fusion._pooled(lambda item: runs.append(item) or item * item, range(3000))
+        results = image._pooled(lambda item: runs.append(item) or item * item, range(3000))
     finally:
         sys.setswitchinterval(interval)
     assert results == [item * item for item in range(3000)]
@@ -844,7 +844,7 @@ def test_items_on_one_thread_do_not_see_each_others_context_variables(monkeypatc
 
     token = POOLED_VAR.set("caller")
     try:
-        runs = fusion._pooled(item, range(12))
+        runs = image._pooled(item, range(12))
         assert POOLED_VAR.get() == "caller"
     finally:
         POOLED_VAR.reset(token)
@@ -878,7 +878,7 @@ def test_pooled_raises_the_first_exception_in_item_order_and_starts_no_item_afte
 
     threads = threading.active_count()
     with pytest.raises((KeyboardInterrupt, ValueError)) as info:
-        fusion._pooled(item, range(20))
+        image._pooled(item, range(20))
     assert threading.active_count() == threads
     idents = [ident for _, ident in started]
     assert len(set(idents)) == len(idents) <= workers  # one item per thread
@@ -889,12 +889,48 @@ def test_pooled_raises_the_first_exception_in_item_order_and_starts_no_item_afte
     assert type(info.value) is expected and info.value.args == (first,)
 
 
+def test_one_strip_size_governs_every_strip_kernel(monkeypatch):
+    # The runner, its strip size and its pool live in `image` alone: a copy
+    # of a name left in another module would take a patch that the runner
+    # never reads.
+    for module in (fusion, metrics, synthetic, batch):
+        for name in ("_STRIP_PIXELS", "_worker_count", "_IN_POOL"):
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+    for module in (fusion, metrics, synthetic):
+        assert vars(module)["_run_strips"] is image._run_strips, module.__name__
+    height, width = 11, 7
+    monkeypatch.setattr(image, "_STRIP_PIXELS", width)  # one row per strip
+    pooled = image._pooled
+    counts = []
+
+    def recording(fn, items):
+        items = list(items)
+        counts.append(len(items))
+        return pooled(fn, items)
+
+    monkeypatch.setattr(image, "_pooled", recording)
+    rng = np.random.default_rng(41)
+    a, b, f = rng.integers(0, 256, size=(3, height, width), dtype=np.uint8)
+    kernels = {
+        "moment": lambda: MomentFuser().fuse(a, b),
+        "average": lambda: AverageFuser().fuse(a, b),
+        "pca": lambda: PcaFuser().fuse(a, b),
+        "sobel_edges": lambda: sobel_edges(a),
+        "qabf": lambda: qabf(a, b, f),
+        "gaussian_blur": lambda: gaussian_blur(a, 1.3),
+    }
+    for name, kernel in kernels.items():
+        counts.clear()
+        kernel()
+        assert counts and counts == [height] * len(counts), (name, counts)
+
+
 @pytest.mark.parametrize("strip_pixels", [1 << 16, 64])  # one strip; 17 strips of 2 rows
 @pytest.mark.parametrize("window", [1, 3, 5])
 def test_every_output_array_is_c_contiguous(monkeypatch, strip_pixels, window):
     # The fuse strips compute on buffers wider than the raster and return
     # views of their first `width` columns; no such view may leak out.
-    monkeypatch.setattr(fusion, "_STRIP_PIXELS", strip_pixels)
+    monkeypatch.setattr(image, "_STRIP_PIXELS", strip_pixels)
     rng = np.random.default_rng(31)
     a, b = rng.integers(0, 256, size=(2, 33, 29), dtype=np.uint8)
     outputs = {}
@@ -929,7 +965,7 @@ def fusion_digest(result):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_fuse_leaves_no_threads_and_works_after_fork(monkeypatch):
-    monkeypatch.setattr(fusion, "_STRIP_PIXELS", 256)  # 60 strips of 8 rows
+    monkeypatch.setattr(image, "_STRIP_PIXELS", 256)  # 60 strips of 8 rows
     rng = np.random.default_rng(23)
     a, b = rng.integers(0, 256, size=(2, 480, 32), dtype=np.uint8)
     threads = threading.active_count()

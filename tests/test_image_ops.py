@@ -44,6 +44,19 @@ def test_pad_rejects_negative_margin():
         pad(np.zeros((2, 2)), -1)
 
 
+@settings(max_examples=200, deadline=None)
+@given(shape=st.tuples(st.integers(1, 6), st.integers(1, 6)), margin=st.integers(0, 9),
+       dtype=st.sampled_from([np.uint8, np.int16, np.float64, bool]), data=st.data())
+def test_pad_equals_numpy_edge_padding_for_any_dtype(shape, margin, dtype, data):
+    # The margin may exceed the raster, and `pad` keeps the raster's dtype.
+    img = data.draw(arrays(dtype, shape, elements=st.floats(-1e6, 1e6)
+                           if dtype == np.float64 else None))
+    out = pad(img, margin)
+    expected = np.pad(img, margin, mode="edge")
+    assert out.dtype == img.dtype and out.flags.c_contiguous
+    assert out.shape == expected.shape and out.tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("top, bottom, left, right",
                          [(0, 0, 0, 0), (1, 0, 1, 1), (0, 3, 2, 0), (2, 2, 0, 1)])
 def test_pad_edges_matches_edge_padding_per_side(top, bottom, left, right):

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from momentfuse import fusion, image, metrics, validation
+from momentfuse import image, metrics, validation
 from momentfuse.batch import run_pair
 from momentfuse.fusion import MomentFuser
 from momentfuse.metrics import (
@@ -667,8 +667,8 @@ def full_raster_qabf(a, b, f, k):
 def test_sobel_and_qabf_are_tiling_invariant(images, strip_pixels, workers):
     a, b, f = images
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fusion, "_STRIP_PIXELS", strip_pixels)
-        mp.setattr(fusion, "_worker_count", lambda tasks: min(tasks, workers))
+        mp.setattr(image, "_STRIP_PIXELS", strip_pixels)
+        mp.setattr(image, "_worker_count", lambda tasks: min(tasks, workers))
         for k in (QabfConstants(), QabfConstants(weight_exponent=2.0)):
             assert qabf(a, b, f, k) == full_raster_qabf(a, b, f, k)
         edges = sobel_edges(f)
@@ -684,8 +684,8 @@ def test_run_pair_calls_traced_functions_on_the_calling_thread(monkeypatch):
     # Every fuser rounds its strips with the unchecked `round_u8`, so
     # `run_pair` makes no full-raster finiteness scan: it never reaches
     # `quantize` or `check_image_float`.
-    monkeypatch.setattr(fusion, "_STRIP_PIXELS", 64)
-    monkeypatch.setattr(fusion, "_worker_count", lambda tasks: min(tasks, 3))
+    monkeypatch.setattr(image, "_STRIP_PIXELS", 64)
+    monkeypatch.setattr(image, "_worker_count", lambda tasks: min(tasks, 3))
     threads = {}
 
     def spy(name, fn):

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import momentfuse
-from momentfuse import fusion
+from momentfuse import image
 from momentfuse.image import correlate, quantize, widen
 from momentfuse.synthetic import (
     MAX_SIGMA,
@@ -147,8 +147,8 @@ def test_blur_in_one_row_strips_matches_full_raster(monkeypatch, height, width, 
     # Each strip is one row, and at sigma 3.5 the kernel's radius (11)
     # reaches past the strip and the whole raster: the halo rows are all
     # replicate padding.
-    monkeypatch.setattr(fusion, "_STRIP_PIXELS", 1)
-    monkeypatch.setattr(fusion, "_worker_count", lambda tasks: min(tasks, workers))
+    monkeypatch.setattr(image, "_STRIP_PIXELS", 1)
+    monkeypatch.setattr(image, "_worker_count", lambda tasks: min(tasks, workers))
     rng = np.random.default_rng(height * 10 + width)
     img = rng.integers(0, 256, size=(height, width), dtype=np.uint8)
     with np.errstate(all="raise"):
@@ -165,8 +165,8 @@ def test_blur_in_one_row_strips_matches_full_raster(monkeypatch, height, width, 
 def test_blur_is_tiling_invariant(shape, sigma, seed, strip_pixels, workers):
     img = np.random.default_rng(seed).integers(0, 256, size=shape, dtype=np.uint8)
     with pytest.MonkeyPatch.context() as mp, np.errstate(all="raise"):
-        mp.setattr(fusion, "_STRIP_PIXELS", strip_pixels)
-        mp.setattr(fusion, "_worker_count", lambda tasks: min(tasks, workers))
+        mp.setattr(image, "_STRIP_PIXELS", strip_pixels)
+        mp.setattr(image, "_worker_count", lambda tasks: min(tasks, workers))
         blurred = gaussian_blur(img, sigma)
         expected = full_raster_blur(widen(img), sigma)
         assert blurred.tobytes() == quantize(expected).tobytes()

@@ -1,11 +1,13 @@
 """Every rejection branch of `momentfuse.validation`, reached through the
 public entry points that check their inputs, with its exact message."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from momentfuse.batch import run_pair
-from momentfuse.filters import convolve3, identity_kernel
+from momentfuse.filters import Kernel3, convolve3, identity_kernel
 from momentfuse.fusion import (
     AverageFuser,
     MomentFuser,
@@ -14,9 +16,10 @@ from momentfuse.fusion import (
     local_moment_map,
     pca_weights,
 )
-from momentfuse.image import quantize
+from momentfuse.image import pad, quantize
 from momentfuse.metrics import evaluate, joint_histogram, qabf
-from momentfuse.pgm import save_pgm
+from momentfuse.pgm import save_pgm, write_pgm
+from momentfuse.synthetic import random_texture
 from momentfuse.validation import ShapeMismatchError
 
 GOOD_U8 = np.zeros((4, 5), np.uint8)
@@ -129,3 +132,82 @@ def test_constants_that_are_not_qabf_constants_are_rejected(entry, bad):
     with pytest.raises(ValueError) as info:
         entry(bad)
     assert str(info.value) == f"constants must be a QabfConstants or None, got {type(bad).__name__}"
+
+
+@pytest.mark.parametrize("img, margin, message", [
+    (np.zeros(5), 1, "image must be 2-D (height, width), got ndim=1"),
+    (np.zeros((1, 4, 5), np.uint8), 1, "image must be 2-D (height, width), got ndim=3"),
+    # An empty raster has no edge pixel to repeat into the margin.
+    (np.zeros((0, 3)), 1, "image has a zero dimension: (0, 3)"),
+    (np.zeros((0, 3), np.uint8), 2, "image has a zero dimension: (0, 3)"),
+    (np.zeros((3, 0), np.int16), 0, "image has a zero dimension: (3, 0)"),
+    (GOOD_FLOAT, True, "margin must be an integer, got True"),
+    (GOOD_FLOAT, 1.5, "margin must be an integer, got 1.5"),
+    (GOOD_FLOAT, -1, "margin must be >= 0, got -1"),
+], ids=["1-D", "3-D", "no rows", "no rows uint8", "no columns", "bool margin",
+        "float margin", "negative margin"])
+def test_pad_rejects_a_malformed_raster_or_margin(img, margin, message):
+    with pytest.raises(ValueError) as info:
+        pad(img, margin)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("coeffs, dtype", [
+    ([["1"] * 3] * 3, "<U1"),  # a cast parses text
+    (np.ones((3, 3), bool), "bool"),  # and makes True 1.0
+    (np.full((3, 3), 1 + 2j), "complex128"),  # and drops the imaginary part
+    ([[1.0, 2.0, None]] * 3, "object"),
+], ids=["str", "bool", "complex", "object"])
+def test_kernel3_rejects_coefficients_a_cast_would_turn_into_numbers(coeffs, dtype):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no ComplexWarning before the rejection
+        with pytest.raises(ValueError) as info:
+            Kernel3(coeffs)
+    assert str(info.value) == (
+        f"kernel coefficients must be an integer or float array, got dtype={dtype}")
+
+
+def test_convolve3_rejects_a_mask_that_is_not_a_kernel3():
+    with pytest.raises(ValueError) as info:
+        convolve3(GOOD_FLOAT, np.ones((3, 3)))
+    assert str(info.value) == "kernel must be a Kernel3, got ndarray"
+
+
+@pytest.mark.parametrize("rng, name", [(None, "NoneType"),
+                                       (np.random.RandomState(0), "RandomState"),
+                                       (0, "int")],
+                         ids=["None", "RandomState", "seed"])
+def test_random_texture_rejects_an_rng_that_is_not_a_generator(rng, name):
+    with pytest.raises(ValueError) as info:
+        random_texture(4, 4, rng)
+    assert str(info.value) == f"rng must be a numpy.random.Generator, got {name}"
+
+
+@pytest.mark.parametrize("bad", ["no", None, 1, np.array([True])],
+                         ids=["str", "None", "int", "array"])
+@pytest.mark.parametrize("entry, name", [
+    (lambda v: local_moment_map(GOOD_FLOAT, magnitude=v), "magnitude"),
+    (lambda v: MomentFuser(magnitude=v).fuse(GOOD_U8, GOOD_U8), "magnitude"),
+    (lambda v: save_pgm(GOOD_U8, binary=v), "binary"),
+    (lambda v: run_pair(GOOD_U8, GOOD_U8, keep_results=v), "keep_results"),
+], ids=["local_moment_map", "fuse", "save_pgm", "run_pair"])
+def test_boolean_flags_reject_a_value_that_is_not_a_bool(entry, name, bad):
+    # Any other value would pick a branch by its truth: "no" is true.
+    with pytest.raises(ValueError) as info:
+        entry(bad)
+    assert str(info.value) == f"{name} must be a bool, got {bad!r}"
+
+
+def test_write_pgm_rejects_a_binary_that_is_not_a_bool_and_writes_nothing(tmp_path):
+    path = tmp_path / "out.pgm"
+    with pytest.raises(ValueError) as info:
+        write_pgm(path, GOOD_U8, binary="no")
+    assert str(info.value) == "binary must be a bool, got 'no'"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag", [True, False, np.True_, np.False_])
+def test_boolean_flags_take_python_and_numpy_bools(flag):
+    assert save_pgm(GOOD_U8, binary=flag).startswith(b"P5" if flag else b"P2")
+    kept = run_pair(GOOD_U8, GOOD_U8, ["average"], keep_results=flag)[0].result
+    assert (kept is not None) == bool(flag)
