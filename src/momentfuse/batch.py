@@ -148,8 +148,8 @@ def run_pair(a: np.ndarray, b: np.ndarray, methods=FUSION_METHODS,
 
     Methods run in sorted order; unknown method names, an empty collection
     of them or a bare string in its place raise ValueError, and so does a
-    `constants` that is neither None nor a QabfConstants, or a
-    `keep_results` that is not a bool, before any fuse.
+    bad fuser parameter, a `constants` that is neither None nor a
+    QabfConstants, or a `keep_results` that is not a bool, before any fuse.
     Extra keyword arguments are forwarded to the fusers that accept them.
     The pair is checked once, and every fuser and evaluation gets the
     checked arrays. Every method is fused before any is scored, so the
@@ -161,12 +161,13 @@ def run_pair(a: np.ndarray, b: np.ndarray, methods=FUSION_METHODS,
     a, b = check_pair(a, b)
     constants = _check_constants(constants)
     check_bool(keep_results, "keep_results")
+    fusers = {method: make_fuser(method, **fuser_params) for method in _method_names(methods)}
 
     def fuse(method):
-        result = make_fuser(method, **fuser_params).fuse(a, b)
+        result = fusers[method].fuse(a, b)
         return method, result.fused_u8, result if keep_results else None
 
-    fused = [fuse(method) for method in _method_names(methods)]
+    fused = [fuse(method) for method in fusers]
     with _shared_source_terms(a, b):
         return [PairOutcome(method=method, result=result,
                             record=evaluate(a, b, fused_u8, constants))
@@ -184,7 +185,8 @@ def run_batch(pairs: list[PairSpec], methods=FUSION_METHODS,
     carrying the skipped list, when no pair at all produces a result. An
     unknown method, an empty `methods`, a bare string for it, a bad fuser
     parameter or a `constants` that is not a QabfConstants would fail every
-    pair alike, so it raises ValueError before any pair is read.
+    pair alike, so it raises ValueError before any pair is read. `methods`
+    is read once, so an iterator works.
 
     Each pair is decoded and scored by `run_pair` without its results, on
     the calling thread and one helper per further CPU (none on one CPU),
@@ -194,8 +196,9 @@ def run_batch(pairs: list[PairSpec], methods=FUSION_METHODS,
     formats are the same bytes on any number of CPUs.
     """
     _check_constants(constants)
-    for method in _method_names(methods):
-        make_fuser(method, **fuser_params)._check_params()
+    methods = _method_names(methods)
+    for method in methods:
+        make_fuser(method, **fuser_params)
 
     def score(spec):
         """The pair's outcomes, or the reason it is skipped."""

@@ -160,7 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_fuse(args) -> int:
     fuser = make_fuser(args.method, **_fuser_params(args))
-    fuser._check_params()
     if args.dump_decision is not None:
         if not isinstance(fuser, MomentFuser):
             raise UsageError(

@@ -121,7 +121,7 @@ class Fuser:
         raise NotImplementedError
 
     def _check_params(self):
-        """Raise ValueError if a parameter is out of range; `fuse` does too."""
+        """Raise ValueError if a parameter is out of range; `make_fuser` calls it."""
 
     _check_pair = staticmethod(check_pair)
 
@@ -322,11 +322,11 @@ FUSION_METHODS = tuple(sorted(_FUSER_CLASSES))
 
 
 def make_fuser(method: str, **params) -> Fuser:
-    """Instantiate a fuser by method name ('moment', 'average' or 'pca').
+    """Instantiate a checked fuser by method name ('moment', 'average' or 'pca').
 
     Parameters that another fuser declares but the chosen one does not are
     ignored, so one flat parameter namespace can drive every method; a name
-    that no fuser declares raises ValueError.
+    that no fuser declares, or a value out of range, raises ValueError.
     """
     try:
         cls = _FUSER_CLASSES[method]
@@ -340,4 +340,6 @@ def make_fuser(method: str, **params) -> Fuser:
             raise ValueError(f"unknown fuser parameter {name!r}; "
                              f"expected one of {', '.join(sorted(known))}")
     accepted = set(cls._param_names())
-    return cls(**{k: v for k, v in params.items() if k in accepted})
+    fuser = cls(**{k: v for k, v in params.items() if k in accepted})
+    fuser._check_params()
+    return fuser

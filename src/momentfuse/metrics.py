@@ -202,7 +202,8 @@ class QabfConstants:
     Defaults are the standard published values for the metric. Every field
     must be a finite real number, not a bool; both sigmoid ceilings must stay
     in (0, 1] so the score cannot exceed 1, and the weight exponent in
-    [0, MAX_WEIGHT_EXPONENT] so it cannot come out NaN. The dataclass is
+    (0, MAX_WEIGHT_EXPONENT]: above the bound the score could come out NaN,
+    and at 0 a gradient-free pixel would weigh 1, not 0. The dataclass is
     frozen, so no field skips these checks: `dataclasses.replace` builds a
     new, checked instance.
     """
@@ -221,8 +222,8 @@ class QabfConstants:
             raise ValueError("all constants must be finite")
         if not (0.0 < self.gamma_g <= 1.0 and 0.0 < self.gamma_a <= 1.0):
             raise ValueError("gamma_g and gamma_a must be in (0, 1]")
-        if self.weight_exponent < 0.0:
-            raise ValueError("weight_exponent must be >= 0")
+        if self.weight_exponent <= 0.0:
+            raise ValueError(f"weight_exponent must be > 0, got {self.weight_exponent}")
         if self.weight_exponent > MAX_WEIGHT_EXPONENT:
             raise ValueError(f"weight_exponent must be at most {MAX_WEIGHT_EXPONENT}, "
                              f"got {self.weight_exponent}")

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from momentfuse import batch, image, metrics
-from momentfuse.fusion import PcaFuser
+from momentfuse.fusion import AverageFuser, PcaFuser
 from momentfuse.batch import (
     EmptyBatchError,
     PairSpec,
@@ -120,6 +120,44 @@ def test_run_pair_rejects_a_parameter_no_fuser_declares(methods):
         run_pair(img, img, methods, windw=7, centre=9.0)
 
 
+@pytest.mark.parametrize("methods, params, message", [
+    (("average", "dwt"), {},
+     "^unknown fusion method 'dwt'; expected one of average, moment, pca$"),
+    (("average", "moment"), {"p": 9}, re.escape("moment orders must be in [0, 4], got p=9, q=1")),
+    (("average", "moment"), {"window": 4}, "^window must be odd and >= 1, got 4$"),
+    (("average", "moment"), {"source": "raw"},
+     "^source must be 'filtered' or 'original', got 'raw'$"),
+    (("average", "moment"), {"center": float("nan")},
+     "^kernel coefficients and scale must be finite$"),
+], ids=["method", "p", "window", "source", "center"])
+def test_run_pair_rejects_a_bad_method_or_parameter_before_any_fuse(monkeypatch, methods,
+                                                                     params, message):
+    # "average" sorts first, so a check made only inside the moment fuse, or
+    # on reaching "dwt", would come after it had been fused.
+    fuses = []
+    fuse = AverageFuser.fuse
+    monkeypatch.setattr(AverageFuser, "fuse",
+                        lambda self, a, b: fuses.append(a) or fuse(self, a, b))
+    img = np.zeros((4, 4), dtype=np.uint8)
+    with pytest.raises(ValueError, match=message):
+        run_pair(img, img, methods, **params)
+    assert fuses == []
+
+
+@pytest.mark.parametrize("one_shot", [lambda names: (name for name in names), iter],
+                         ids=["generator", "iterator"])
+def test_run_batch_reads_a_one_shot_methods_iterable_once(tmp_path, one_shot):
+    # Read again in each pair, it would be empty there, and the batch would
+    # skip every pair.
+    write_pair_dir(tmp_path, n=2)
+    pairs, _ = discover_pairs(tmp_path)
+    names = ["moment", "average"]
+    expected = run_batch(pairs, methods=names)
+    report = run_batch(pairs, methods=one_shot(names))
+    for fmt in ("csv", "json"):
+        assert emit_report(report, fmt) == emit_report(expected, fmt)
+
+
 def test_bare_string_methods_is_rejected_before_any_pair_is_read(tmp_path, monkeypatch):
     # A string is a collection of its letters, which read as method names.
     message = "methods must be a collection of method names, got 'moment'"
@@ -190,7 +228,6 @@ def test_run_pair_records_equal_standalone_evaluate(case, constants, keep_result
         assert (outcome.result is not None) == keep_results
         standalone = evaluate(a, b, kept.result.fused_u8, constants)
         assert repr(outcome.record) == repr(standalone)
-    assert metrics._SOURCE_TERMS.get() is None
 
 
 @pytest.fixture
@@ -226,7 +263,6 @@ def test_source_term_scope_unset_after_failure_mid_loop(sobel_calls, monkeypatch
     # `sobel_edges`) before scoring "moment" failed.
     assert len(scored) == 2
     assert len(sobel_calls) == 2
-    assert metrics._SOURCE_TERMS.get() is None
 
 
 @pytest.mark.parametrize("case", _SOURCE_CASES)
@@ -253,7 +289,6 @@ def test_source_terms_are_shared_only_for_the_scope_pair_itself(sobel_calls):
         metrics.qabf(a, b.copy(), a)
         metrics.qabf(b, a, a)
         assert len(sobel_calls) == 6
-    assert metrics._SOURCE_TERMS.get() is None
 
 
 def test_run_pair_calls_batch_evaluate_once_per_method_in_the_pair_scope(monkeypatch):
@@ -272,7 +307,6 @@ def test_run_pair_calls_batch_evaluate_once_per_method_in_the_pair_scope(monkeyp
     assert calls == [True, True, True]
     for outcome in outcomes:
         assert repr(outcome.record) == repr(evaluate(a, b, outcome.result.fused_u8))
-    assert metrics._SOURCE_TERMS.get() is None
 
 
 def test_run_batch_skips_bad_pairs(tmp_path):
@@ -395,7 +429,6 @@ def test_run_batch_skips_pair_whose_fuser_raises(tmp_path, monkeypatch):
     assert report.skipped == [("001", "MemoryError: injected")]
     assert repr(report.rows) == repr(expected.rows)
     assert report.aggregates == expected.aggregates
-    assert metrics._SOURCE_TERMS.get() is None
 
 
 def test_run_batch_lets_keyboard_interrupt_through(tmp_path, monkeypatch):
@@ -404,10 +437,6 @@ def test_run_batch_lets_keyboard_interrupt_through(tmp_path, monkeypatch):
     fail_pca_on(monkeypatch, read_pgm(pairs[1].path_a), KeyboardInterrupt())
     with pytest.raises(KeyboardInterrupt):
         run_batch(pairs)
-
-
-def use_workers(monkeypatch, workers):
-    monkeypatch.setattr(image, "_worker_count", lambda tasks: min(tasks, workers))
 
 
 def write_mixed_dir(tmp_path):
@@ -422,10 +451,11 @@ def write_mixed_dir(tmp_path):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_run_batch_calls_run_pair_once_per_decodable_pair(tmp_path, monkeypatch, workers):
+def test_run_batch_calls_run_pair_once_per_decodable_pair(tmp_path, monkeypatch, use_workers,
+                                                          workers):
     # The benchmark spans `batch.run_pair` by swapping the module attribute,
     # so every pair must go through that name, pooled and inline.
-    use_workers(monkeypatch, workers)
+    use_workers(workers)
     pairs = write_mixed_dir(tmp_path)
     calls = []
     run_pair = batch.run_pair
@@ -441,7 +471,8 @@ def test_run_batch_calls_run_pair_once_per_decodable_pair(tmp_path, monkeypatch,
     assert sorted(calls) == sorted(decoded)
 
 
-def test_run_batch_reports_are_the_same_bytes_on_any_worker_count(tmp_path, monkeypatch):
+def test_run_batch_reports_are_the_same_bytes_on_any_worker_count(tmp_path, monkeypatch,
+                                                                  use_workers):
     pairs = write_mixed_dir(tmp_path)
     failing = next(spec for spec in pairs if spec.pair_id == "002")
     fail_pca_on(monkeypatch, read_pgm(failing.path_a), MemoryError("injected"))
@@ -450,7 +481,7 @@ def test_run_batch_reports_are_the_same_bytes_on_any_worker_count(tmp_path, monk
     sys.setswitchinterval(1e-5)  # more thread switches inside each pair
     try:
         for workers in (1, 2, 4):  # 4 pair workers contend for fewer CPUs on small hosts
-            use_workers(monkeypatch, workers)
+            use_workers(workers)
             threads = threading.active_count()
             report = run_batch(pairs)
             assert threading.active_count() == threads
@@ -460,11 +491,10 @@ def test_run_batch_reports_are_the_same_bytes_on_any_worker_count(tmp_path, monk
         sys.setswitchinterval(interval)
     assert emitted[0] == emitted[1] == emitted[2]
     assert [pid for pid, _ in emitted[0][2]] == ["001x", "002", "002x"]
-    assert metrics._SOURCE_TERMS.get() is None
 
 
 def test_a_batch_of_multi_strip_pairs_runs_its_strips_on_at_most_one_thread_per_worker(
-        tmp_path, monkeypatch):
+        tmp_path, monkeypatch, use_workers):
     # Strips of 64 pixels split each 24x24 pair into 12 strips per pooled
     # stage. The strips run on their pair's thread, so no more threads run
     # strips, or exist, than the batch pool has workers.
@@ -482,7 +512,7 @@ def test_a_batch_of_multi_strip_pairs_runs_its_strips_on_at_most_one_thread_per_
     monkeypatch.setattr(image, "_pooled", recording)  # `_run_strips`' pool, not the batch's
     emitted = []
     for workers in (1, 2, 4):
-        use_workers(monkeypatch, workers)
+        use_workers(workers)
         strips.clear()
         threads = threading.active_count()
         report = run_batch(pairs)
@@ -497,11 +527,11 @@ def test_a_batch_of_multi_strip_pairs_runs_its_strips_on_at_most_one_thread_per_
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_keyboard_interrupt_stops_the_batch_within_one_pair_per_worker(tmp_path, monkeypatch,
-                                                                       workers):
+                                                                       use_workers, workers):
     # The pairs queued behind a failing one must not run before the
     # interrupt propagates. The other pairs take longer than the failing
     # one, so they are still running when it raises.
-    use_workers(monkeypatch, workers)
+    use_workers(workers)
     write_pair_dir(tmp_path, n=6)
     pairs, _ = discover_pairs(tmp_path)
     bad_a = read_pgm(pairs[1].path_a)
@@ -521,7 +551,6 @@ def test_keyboard_interrupt_stops_the_batch_within_one_pair_per_worker(tmp_path,
         run_batch(pairs)
     assert threading.active_count() == threads
     assert 2 <= len(calls) <= 1 + workers
-    assert metrics._SOURCE_TERMS.get() is None
 
 
 def test_aggregates_equal_recomputed_means(tmp_path):

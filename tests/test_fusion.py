@@ -515,6 +515,16 @@ def test_make_fuser_names_and_params():
         make_fuser("dwt")
 
 
+def test_make_fuser_returns_a_checked_fuser():
+    img = np.zeros((4, 4), dtype=np.uint8)
+    with pytest.raises(ValueError) as fused:
+        MomentFuser(window=4).fuse(img, img)
+    with pytest.raises(ValueError) as made:
+        make_fuser("moment", window=4)
+    assert str(made.value) == str(fused.value) == "window must be odd and >= 1, got 4"
+    assert isinstance(make_fuser("average", window=4), AverageFuser)  # not its parameter
+
+
 @pytest.mark.parametrize("method", ["moment", "average", "pca"])
 def test_make_fuser_rejects_a_parameter_no_fuser_declares(method):
     # A misspelled name used to be dropped, and the fuser ran on its default.
@@ -772,14 +782,10 @@ def test_worker_count_follows_cpu_affinity(monkeypatch):
     assert image._worker_count(10**6) == (os.cpu_count() or 1)
 
 
-def force_workers(monkeypatch, workers):
-    monkeypatch.setattr(image, "_worker_count", lambda tasks: min(tasks, workers))
-
-
 @pytest.mark.parametrize("workers", [1, 2, 3])
-def test_pooled_runs_items_on_the_caller_and_at_most_workers_minus_one_helpers(monkeypatch,
+def test_pooled_runs_items_on_the_caller_and_at_most_workers_minus_one_helpers(use_workers,
                                                                               workers):
-    force_workers(monkeypatch, workers)
+    use_workers(workers)
     threads = threading.active_count()
 
     def item(index):
@@ -796,8 +802,8 @@ def test_pooled_runs_items_on_the_caller_and_at_most_workers_minus_one_helpers(m
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
-def test_a_pooled_call_inside_an_item_runs_on_that_items_thread(monkeypatch, workers):
-    force_workers(monkeypatch, workers)
+def test_a_pooled_call_inside_an_item_runs_on_that_items_thread(use_workers, workers):
+    use_workers(workers)
     threads = threading.active_count()
 
     def inner(index):
@@ -815,10 +821,10 @@ def test_a_pooled_call_inside_an_item_runs_on_that_items_thread(monkeypatch, wor
     assert image._pooled(lambda item: image._IN_POOL.get(), [0]) == [False]
 
 
-def test_pooled_runs_each_item_once_under_frequent_thread_switches(monkeypatch):
+def test_pooled_runs_each_item_once_under_frequent_thread_switches(use_workers):
     # More threads than this host has CPUs, switching every few bytecodes: an
     # index taken twice, or skipped, from the shared queue shows in `runs`.
-    force_workers(monkeypatch, 6)
+    use_workers(6)
     runs = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -834,8 +840,8 @@ POOLED_VAR = contextvars.ContextVar("pooled_var", default=None)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
-def test_items_on_one_thread_do_not_see_each_others_context_variables(monkeypatch, workers):
-    force_workers(monkeypatch, workers)
+def test_items_on_one_thread_do_not_see_each_others_context_variables(use_workers, workers):
+    use_workers(workers)
 
     def item(index):
         seen = POOLED_VAR.get()
@@ -856,11 +862,11 @@ def test_items_on_one_thread_do_not_see_each_others_context_variables(monkeypatc
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("helpers_raise", [False, True])
 def test_pooled_raises_the_first_exception_in_item_order_and_starts_no_item_after_it(
-        monkeypatch, workers, helpers_raise):
+        use_workers, workers, helpers_raise):
     # The caller's first item raises KeyboardInterrupt at once. An item on a
     # helper waits until then, and some time longer, so each thread holds at
     # most one item when the caller's raises; none may start another.
-    force_workers(monkeypatch, workers)
+    use_workers(workers)
     caller = threading.get_ident()
     raised = threading.Event()
     started = []

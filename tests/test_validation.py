@@ -17,7 +17,7 @@ from momentfuse.fusion import (
     pca_weights,
 )
 from momentfuse.image import pad, quantize
-from momentfuse.metrics import evaluate, joint_histogram, qabf
+from momentfuse.metrics import QabfConstants, evaluate, joint_histogram, qabf
 from momentfuse.pgm import save_pgm, write_pgm
 from momentfuse.synthetic import random_texture
 from momentfuse.validation import ShapeMismatchError
@@ -132,6 +132,17 @@ def test_constants_that_are_not_qabf_constants_are_rejected(entry, bad):
     with pytest.raises(ValueError) as info:
         entry(bad)
     assert str(info.value) == f"constants must be a QabfConstants or None, got {type(bad).__name__}"
+
+
+@pytest.mark.parametrize("exponent, shown", [
+    (0, "0"), (0.0, "0.0"), (-0.0, "-0.0"), (np.float32(0), "0.0"),
+], ids=["int", "float", "negative-zero", "float32"])
+def test_qabf_constants_reject_a_weight_exponent_of_zero(exponent, shown):
+    # 0.0 ** 0.0 is 1: every gradient-free pixel would weigh 1, and two
+    # constant sources would score as not degenerate.
+    with pytest.raises(ValueError) as info:
+        QabfConstants(weight_exponent=exponent)
+    assert str(info.value) == f"weight_exponent must be > 0, got {shown}"
 
 
 @pytest.mark.parametrize("img, margin, message", [
